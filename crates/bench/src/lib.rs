@@ -9,8 +9,8 @@
 //! cargo run --release -p ca-bench --bin experiments -- fig9
 //! ```
 //!
-//! Criterion micro-benchmarks (simulator, compiler, partitioner, engines)
-//! live in `benches/` and run with `cargo bench`.
+//! Timings — end to end and per layer, with a noise floor — are the job of
+//! the separate `benchmark/` package (`cabench`), not of this crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -24,12 +24,15 @@
 //!   bitstream  u64 length, then a ca-sim "CAAR" artifact blob
 //! ```
 //!
-//! The embedded bitstream blob carries its own magic, version, design tag
-//! and checksum, so corruption is caught at whichever layer it hits.
+//! The 24 header bytes are the sealed container of [`ca_sim::artifact`]
+//! (`seal` / `unseal`), the same one the embedded bitstream blob uses — so
+//! the blob carries its own magic, version, design tag and checksum, and
+//! corruption is caught at whichever layer it hits.
 
 use crate::{CaError, CompiledAutomaton, MappingStats, Program};
 use ca_compiler::PassTimings;
-use ca_sim::{fnv1a_64, ArtifactError, Bitstream};
+use ca_sim::artifact::{put_u32, put_u64, seal, unseal, Reader};
+use ca_sim::{ArtifactError, Bitstream};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +56,6 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// place. A crash at any point leaves either the old file or the new one —
 /// never a torn artifact. The temp file is cleaned up on failure.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let name = path.file_name().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
     })?;
@@ -63,10 +65,7 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
     ));
     tmp_name.push(name);
-    let tmp = match dir {
-        Some(dir) => dir.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
+    let tmp = path.with_file_name(tmp_name);
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
@@ -80,122 +79,13 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     result
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ArtifactError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(ArtifactError::Malformed(format!("truncated while reading {what}")));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, ArtifactError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, ArtifactError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, ArtifactError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn usize(&mut self, what: &str) -> Result<usize, ArtifactError> {
-        let v = self.u64(what)?;
-        usize::try_from(v)
-            .map_err(|_| ArtifactError::Malformed(format!("{what} {v} exceeds usize")))
-    }
-}
-
-fn encode_program(program: &Program) -> Vec<u8> {
-    let stats = &program.compiled.stats;
-    let mut payload = Vec::new();
-    for v in [
-        stats.states,
-        stats.connected_components,
-        stats.largest_cc,
-        stats.partitions_used,
-        stats.utilization_bytes,
-        stats.g1_routes,
-        stats.g4_routes,
-        stats.kway_invocations,
-        stats.retries,
-    ] {
-        push_u64(&mut payload, v as u64);
-    }
-    push_u64(&mut payload, stats.seed);
-    push_u32(&mut payload, program.compiled.state_map.len() as u32);
-    for &(pid, col) in &program.compiled.state_map {
-        push_u32(&mut payload, pid);
-        payload.push(col);
-    }
-    let blob = program.compiled.bitstream.encode();
-    push_u64(&mut payload, blob.len() as u64);
-    payload.extend_from_slice(&blob);
-
-    let mut out = Vec::with_capacity(24 + payload.len());
-    out.extend_from_slice(PROGRAM_ARTIFACT_MAGIC);
-    out.extend_from_slice(&PROGRAM_ARTIFACT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes());
-    push_u64(&mut out, fnv1a_64(&payload));
-    push_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    out
-}
-
 fn decode_program(bytes: &[u8]) -> Result<Program, ArtifactError> {
-    let mut r = Reader { bytes, pos: 0 };
-    if r.take(4, "magic")? != PROGRAM_ARTIFACT_MAGIC {
-        return Err(ArtifactError::BadMagic);
-    }
-    let version = u16::from_le_bytes(r.take(2, "version")?.try_into().expect("2 bytes"));
-    if version != PROGRAM_ARTIFACT_VERSION {
-        return Err(ArtifactError::UnsupportedVersion(version));
-    }
-    r.take(2, "reserved")?;
-    let stored = r.u64("checksum")?;
-    let len = r.usize("payload length")?;
-    let payload = r.take(len, "payload")?;
-    if r.pos != bytes.len() {
-        return Err(ArtifactError::Malformed(format!(
-            "{} trailing bytes after payload",
-            bytes.len() - r.pos
-        )));
-    }
-    let computed = fnv1a_64(payload);
-    if stored != computed {
-        return Err(ArtifactError::ChecksumMismatch { stored, computed });
-    }
-
-    let mut r = Reader { bytes: payload, pos: 0 };
+    // The two tag bytes are reserved (written as zero, ignored on read).
+    let (_, payload) = unseal(PROGRAM_ARTIFACT_MAGIC, PROGRAM_ARTIFACT_VERSION, bytes)?;
+    let mut r = Reader::new(payload);
     let mut fields = [0u64; 9];
-    for (field, what) in fields.iter_mut().zip([
-        "states",
-        "connected components",
-        "largest cc",
-        "partitions used",
-        "utilization bytes",
-        "g1 routes",
-        "g4 routes",
-        "kway invocations",
-        "retries",
-    ]) {
-        *field = r.u64(what)?;
+    for field in &mut fields {
+        *field = r.u64("mapping stats")?;
     }
     let seed = r.u64("seed")?;
     let stats = MappingStats {
@@ -218,15 +108,16 @@ fn decode_program(bytes: &[u8]) -> Result<Program, ArtifactError> {
             stats.states
         )));
     }
-    let mut state_map = Vec::with_capacity(map_len);
+    let mut state_map = Vec::with_capacity(map_len.min(r.remaining() / 5));
     for _ in 0..map_len {
         let pid = r.u32("state map partition")?;
         let col = r.u8("state map column")?;
         state_map.push((pid, col));
     }
-    let blob_len = r.usize("bitstream length")?;
+    let blob_len = usize::try_from(r.u64("bitstream length")?)
+        .map_err(|_| ArtifactError::Malformed("bitstream length exceeds usize".into()))?;
     let blob = r.take(blob_len, "bitstream blob")?;
-    if r.pos != payload.len() {
+    if !r.is_empty() {
         return Err(ArtifactError::Malformed("payload longer than its contents".into()));
     }
     let bitstream = Bitstream::decode(blob)?;
@@ -261,7 +152,31 @@ impl Program {
     /// round-trip through [`Program::from_bytes`] re-encodes to the same
     /// bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode_program(self)
+        let stats = &self.compiled.stats;
+        let mut payload = Vec::new();
+        for v in [
+            stats.states,
+            stats.connected_components,
+            stats.largest_cc,
+            stats.partitions_used,
+            stats.utilization_bytes,
+            stats.g1_routes,
+            stats.g4_routes,
+            stats.kway_invocations,
+            stats.retries,
+        ] {
+            put_u64(&mut payload, v as u64);
+        }
+        put_u64(&mut payload, stats.seed);
+        put_u32(&mut payload, self.compiled.state_map.len() as u32);
+        for &(pid, col) in &self.compiled.state_map {
+            put_u32(&mut payload, pid);
+            payload.push(col);
+        }
+        let blob = self.compiled.bitstream.encode();
+        put_u64(&mut payload, blob.len() as u64);
+        payload.extend_from_slice(&blob);
+        seal(PROGRAM_ARTIFACT_MAGIC, PROGRAM_ARTIFACT_VERSION, [0, 0], &payload)
     }
 
     /// Reconstructs a program from artifact bytes.

@@ -66,7 +66,7 @@ use ca_baselines::measure_cpu as ca_baselines_measure;
 use cache_automaton::serve::daemon::nfa_from_rules_text;
 use cache_automaton::{
     CaError, CacheAutomaton, CacheServer, Client, Daemon, DaemonOptions, Design, JsonLinesWriter,
-    Parallelism, PoolOptions, Program, RunReport, ScanPool, Telemetry,
+    MatchEvent, Parallelism, PoolOptions, Program, ScanPool, Telemetry,
 };
 use std::fmt::Write as _;
 use std::io::Read as _;
@@ -92,167 +92,101 @@ fn io_err(path: &str, e: impl std::fmt::Display) -> CaError {
     CaError::Io(format!("{path}: {e}"))
 }
 
+fn config_err(msg: impl Into<String>) -> CaError {
+    CaError::Config(msg.into())
+}
+
+/// Every `--flag value` option with the hint for what its value must be.
+const FLAGS: [(&str, &str); 15] = [
+    ("--design", "P or S"),
+    ("--slices", "a number"),
+    ("--pages", "a path"),
+    ("--out", "a path"),
+    ("--program", "a path"),
+    ("--trace", "a path"),
+    ("--metrics", "a path"),
+    ("--limit", "a number"),
+    ("--listen", "host:port or unix:<path>"),
+    ("--cache-dir", "a directory"),
+    ("--remote-cache", "host:port or unix:<path>"),
+    ("--remote", "host:port or unix:<path>"),
+    ("--reload", "a rules file or 'same'"),
+    ("--workers", "a number"),
+    ("--shards", "a number or 'auto'"),
+];
+
+/// The parsed command line: flag values as given, plus the positionals.
+#[derive(Default)]
 struct Options {
-    design: Design,
-    slices: usize,
-    pages_out: Option<String>,
-    artifact_out: Option<String>,
-    program_in: Option<String>,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    limit: usize,
-    shards: Option<Parallelism>,
-    workers: Option<usize>,
-    listen: Option<String>,
-    reload: Option<String>,
-    cache_dir: Option<String>,
-    remote_cache: Option<String>,
-    remote: Option<String>,
+    values: Vec<(&'static str, String)>,
     positional: Vec<String>,
 }
 
+impl Options {
+    /// The value of `flag`, if given (the last occurrence wins).
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.values.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+
+    fn needs(flag: &str) -> CaError {
+        let hint = FLAGS.iter().find(|(f, _)| *f == flag).map_or("a value", |(_, hint)| hint);
+        config_err(format!("{flag} needs {hint}"))
+    }
+
+    fn number(&self, flag: &str) -> Result<Option<usize>, CaError> {
+        self.get(flag).map(|v| v.parse().map_err(|_| Options::needs(flag))).transpose()
+    }
+
+    fn design(&self) -> Result<Design, CaError> {
+        match self.get("--design").map(str::to_ascii_uppercase).as_deref() {
+            None | Some("P" | "CA_P" | "PERFORMANCE") => Ok(Design::Performance),
+            Some("S" | "CA_S" | "SPACE") => Ok(Design::Space),
+            Some(other) => Err(config_err(format!("unknown design '{other}' (use P or S)"))),
+        }
+    }
+
+    fn shards(&self) -> Result<Option<Parallelism>, CaError> {
+        match self.get("--shards") {
+            Some("auto") => Ok(Some(Parallelism::Auto)),
+            _ => Ok(self.number("--shards")?.map(Parallelism::Threads)),
+        }
+    }
+
+    /// The one positional argument `command` takes.
+    fn single(&self, command: &str, what: &str) -> Result<&str, CaError> {
+        match self.positional.as_slice() {
+            [only] => Ok(only),
+            _ => Err(config_err(format!("{command} needs exactly one {what}"))),
+        }
+    }
+
+    fn listen(&self, command: &str) -> Result<&str, CaError> {
+        self.get("--listen")
+            .ok_or_else(|| config_err(format!("{command} needs --listen host:port or unix:<path>")))
+    }
+
+    /// The disk-cache root, resolved exactly as the Builder would: the
+    /// explicit flag first, then the environment.
+    fn cache_dir(&self, command: &str) -> Result<String, CaError> {
+        let env = cache_automaton::CACHE_DIR_ENV;
+        self.get("--cache-dir")
+            .map(str::to_string)
+            .or_else(|| std::env::var(env).ok().filter(|v| !v.is_empty()))
+            .ok_or_else(|| config_err(format!("{command} needs --cache-dir DIR or {env} set")))
+    }
+}
+
 fn parse_args(args: Vec<String>) -> Result<(String, Options), CaError> {
-    let mut it = args.into_iter();
-    let command = it.next().ok_or_else(|| CaError::Config(USAGE.to_string()))?;
-    let mut opts = Options {
-        design: Design::Performance,
-        slices: 8,
-        pages_out: None,
-        artifact_out: None,
-        program_in: None,
-        trace_out: None,
-        metrics_out: None,
-        limit: 20,
-        shards: None,
-        workers: None,
-        listen: None,
-        reload: None,
-        cache_dir: None,
-        remote_cache: None,
-        remote: None,
-        positional: Vec::new(),
-    };
-    let bad = |msg: &str| CaError::Config(msg.to_string());
-    let mut rest: Vec<String> = it.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--design" => {
-                let v = rest.get(i + 1).ok_or_else(|| bad("--design needs P or S"))?;
-                opts.design = match v.to_ascii_uppercase().as_str() {
-                    "P" | "CA_P" | "PERFORMANCE" => Design::Performance,
-                    "S" | "CA_S" | "SPACE" => Design::Space,
-                    other => {
-                        return Err(CaError::Config(format!(
-                            "unknown design '{other}' (use P or S)"
-                        )))
-                    }
-                };
-                rest.drain(i..=i + 1);
-            }
-            "--slices" => {
-                opts.slices = rest
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad("--slices needs a number"))?;
-                rest.drain(i..=i + 1);
-            }
-            "--pages" => {
-                opts.pages_out =
-                    Some(rest.get(i + 1).ok_or_else(|| bad("--pages needs a path"))?.clone());
-                rest.drain(i..=i + 1);
-            }
-            "--out" => {
-                opts.artifact_out =
-                    Some(rest.get(i + 1).ok_or_else(|| bad("--out needs a path"))?.clone());
-                rest.drain(i..=i + 1);
-            }
-            "--program" => {
-                opts.program_in =
-                    Some(rest.get(i + 1).ok_or_else(|| bad("--program needs a path"))?.clone());
-                rest.drain(i..=i + 1);
-            }
-            "--trace" => {
-                opts.trace_out =
-                    Some(rest.get(i + 1).ok_or_else(|| bad("--trace needs a path"))?.clone());
-                rest.drain(i..=i + 1);
-            }
-            "--metrics" => {
-                opts.metrics_out =
-                    Some(rest.get(i + 1).ok_or_else(|| bad("--metrics needs a path"))?.clone());
-                rest.drain(i..=i + 1);
-            }
-            "--limit" => {
-                opts.limit = rest
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad("--limit needs a number"))?;
-                rest.drain(i..=i + 1);
-            }
-            "--listen" => {
-                opts.listen = Some(
-                    rest.get(i + 1)
-                        .ok_or_else(|| bad("--listen needs host:port or unix:<path>"))?
-                        .clone(),
-                );
-                rest.drain(i..=i + 1);
-            }
-            "--cache-dir" => {
-                opts.cache_dir = Some(
-                    rest.get(i + 1).ok_or_else(|| bad("--cache-dir needs a directory"))?.clone(),
-                );
-                rest.drain(i..=i + 1);
-            }
-            "--remote-cache" => {
-                opts.remote_cache = Some(
-                    rest.get(i + 1)
-                        .ok_or_else(|| bad("--remote-cache needs host:port or unix:<path>"))?
-                        .clone(),
-                );
-                rest.drain(i..=i + 1);
-            }
-            "--remote" => {
-                opts.remote = Some(
-                    rest.get(i + 1)
-                        .ok_or_else(|| bad("--remote needs host:port or unix:<path>"))?
-                        .clone(),
-                );
-                rest.drain(i..=i + 1);
-            }
-            "--reload" => {
-                opts.reload = Some(
-                    rest.get(i + 1)
-                        .ok_or_else(|| bad("--reload needs a rules file or 'same'"))?
-                        .clone(),
-                );
-                rest.drain(i..=i + 1);
-            }
-            "--workers" => {
-                opts.workers = Some(
-                    rest.get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("--workers needs a number"))?,
-                );
-                rest.drain(i..=i + 1);
-            }
-            "--shards" => {
-                let v = rest.get(i + 1).ok_or_else(|| bad("--shards needs a number or 'auto'"))?;
-                opts.shards = Some(if v == "auto" {
-                    Parallelism::Auto
-                } else {
-                    Parallelism::Threads(
-                        v.parse().map_err(|_| bad("--shards needs a number or 'auto'"))?,
-                    )
-                });
-                rest.drain(i..=i + 1);
-            }
-            flag if flag.starts_with("--") => {
-                return Err(CaError::Config(format!("unknown flag {flag}")))
-            }
-            _ => {
-                opts.positional.push(rest[i].clone());
-                i += 1;
-            }
+    let mut args = args.into_iter();
+    let command = args.next().ok_or_else(|| config_err(USAGE))?;
+    let mut opts = Options::default();
+    while let Some(arg) = args.next() {
+        if let Some(&(flag, _)) = FLAGS.iter().find(|(flag, _)| *flag == arg) {
+            opts.values.push((flag, args.next().ok_or_else(|| Options::needs(flag))?));
+        } else if arg.starts_with("--") {
+            return Err(config_err(format!("unknown flag {arg}")));
+        } else {
+            opts.positional.push(arg);
         }
     }
     Ok((command, opts))
@@ -276,33 +210,49 @@ fn load_nfa(path: &str) -> Result<cache_automaton::HomNfa, CaError> {
     })
 }
 
-fn compile_program(opts: &Options, path: &str, telemetry: &Telemetry) -> Result<Program, CaError> {
-    let nfa = load_nfa(path)?;
-    configured_builder(opts, telemetry).build().compile_nfa(&nfa)
-}
-
 /// The builder every compiling command shares: design, slices, telemetry,
 /// and — when `--cache-dir` / `--remote-cache` were given — the
 /// persistent disk and fleet tiers. Without the flags the builder still
 /// honors `CACHE_AUTOMATON_DIR` and `CACHE_AUTOMATON_REMOTE` on its own.
-fn configured_builder(opts: &Options, telemetry: &Telemetry) -> cache_automaton::Builder {
+fn configured(opts: &Options, telemetry: &Telemetry) -> Result<CacheAutomaton, CaError> {
     let mut builder = CacheAutomaton::builder()
-        .design(opts.design)
-        .slices(opts.slices)
+        .design(opts.design()?)
+        .slices(opts.number("--slices")?.unwrap_or(8))
         .telemetry_handle(telemetry.clone());
-    if let Some(dir) = &opts.cache_dir {
+    if let Some(dir) = opts.get("--cache-dir") {
         builder = builder.disk_cache(dir);
     }
-    if let Some(addr) = &opts.remote_cache {
+    if let Some(addr) = opts.get("--remote-cache") {
         builder = builder.remote_cache(addr);
     }
-    builder
+    Ok(builder.build())
+}
+
+/// The program `run` and `mux` scan with — loaded from `--program`, or
+/// compiled from the rules file that then leads the positionals — and
+/// the input paths that follow.
+fn program_and_inputs<'a>(
+    command: &str,
+    opts: &'a Options,
+    ca: &CacheAutomaton,
+    telemetry: &Telemetry,
+) -> Result<(Program, &'a [String]), CaError> {
+    if let Some(artifact) = opts.get("--program") {
+        let mut program = Program::load(artifact)?;
+        // loaded artifacts carry a disabled handle; attach the sink
+        program.set_telemetry(telemetry.clone());
+        return Ok((program, &opts.positional));
+    }
+    let (rules, inputs) = opts.positional.split_first().ok_or_else(|| {
+        config_err(format!("{command} needs a rules file (or --program ARTIFACT) and input files"))
+    })?;
+    Ok((ca.compile_nfa(&load_nfa(rules)?)?, inputs))
 }
 
 /// Opens the `--metrics` sink if requested, else a disabled handle whose
 /// event calls compile down to a single predictable branch.
 fn open_metrics(opts: &Options) -> Result<Telemetry, CaError> {
-    match &opts.metrics_out {
+    match opts.get("--metrics") {
         Some(path) => {
             let writer = JsonLinesWriter::create(path).map_err(|e| io_err(path, e))?;
             Ok(Telemetry::new(writer))
@@ -311,20 +261,68 @@ fn open_metrics(opts: &Options) -> Result<Telemetry, CaError> {
     }
 }
 
+fn metrics_footer(out: &mut String, opts: &Options, telemetry: &Telemetry) {
+    if let Some(path) = opts.get("--metrics") {
+        telemetry.flush();
+        let _ = writeln!(out, "metrics written      : {path}");
+    }
+}
+
 fn read_input(path: &str) -> Result<Vec<u8>, CaError> {
     std::fs::read(path).map_err(|e| io_err(path, e))
 }
 
+/// Reads the file (or FIFO) at `path` incrementally, handing each chunk to
+/// `feed`; returns the bytes read.
+fn pump_file(
+    path: &str,
+    mut feed: impl FnMut(&[u8]) -> Result<(), CaError>,
+) -> Result<u64, CaError> {
+    let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
+    let mut reader = std::io::BufReader::new(file);
+    let mut buf = vec![0u8; 64 * 1024];
+    let mut total = 0u64;
+    loop {
+        let n = reader.read(&mut buf).map_err(|e| io_err(path, e))?;
+        if n == 0 {
+            return Ok(total);
+        }
+        total += n as u64;
+        feed(&buf[..n])?;
+    }
+}
+
+/// Says the server is up before the caller blocks on it — scripts wait for
+/// this line to know the socket is ready.
+fn announce(line: &str) {
+    println!("{line}");
+    let _ = std::io::Write::flush(&mut std::io::stdout());
+}
+
+fn list_matches(out: &mut String, matches: &[MatchEvent], limit: usize) {
+    for m in matches.iter().take(limit) {
+        let _ = writeln!(out, "  pattern {:>4} @ byte {}", m.code.0, m.pos);
+    }
+    if matches.len() > limit {
+        let _ = writeln!(out, "  ... {} more", matches.len() - limit);
+    }
+}
+
 fn run(args: Vec<String>) -> Result<String, CaError> {
     let (command, opts) = parse_args(args)?;
+    let command = command.as_str();
+    let limit = opts.number("--limit")?.unwrap_or(20);
+    let workers = opts.number("--workers")?;
+    let shards = opts.shards()?;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let telemetry = open_metrics(&opts)?;
+    // Built (and every flag value above read) up front, so a bad value is
+    // reported whichever command runs.
+    let ca = configured(&opts, &telemetry)?;
     let mut out = String::new();
-    match command.as_str() {
+    match command {
         "compile" => {
-            let [rules] = opts.positional.as_slice() else {
-                return Err(CaError::Config("compile needs exactly one rules file".into()));
-            };
-            let program = compile_program(&opts, rules, &telemetry)?;
+            let program = ca.compile_nfa(&load_nfa(opts.single(command, "rules file")?)?)?;
             let s = program.stats();
             let _ = writeln!(out, "design            : {}", program.design());
             let _ = writeln!(out, "states            : {}", s.states);
@@ -346,11 +344,11 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
                 image.total_bytes() / 1024,
                 image.config_time_ms()
             );
-            if let Some(path) = &opts.pages_out {
-                write_pages(&image, path)?;
+            if let Some(path) = opts.get("--pages") {
+                std::fs::write(path, image.to_capg_bytes()).map_err(|e| io_err(path, e))?;
                 let _ = writeln!(out, "pages written     : {path}");
             }
-            if let Some(path) = &opts.artifact_out {
+            if let Some(path) = opts.get("--out") {
                 program.save(path).map_err(|e| match e {
                     CaError::Io(msg) => CaError::Io(format!("{path}: {msg}")),
                     other => other,
@@ -359,23 +357,12 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
             }
         }
         "run" => {
-            let (program, input) = if let Some(artifact) = &opts.program_in {
-                let [input_path] = opts.positional.as_slice() else {
-                    return Err(CaError::Config(
-                        "run --program needs exactly one input file".into(),
-                    ));
-                };
-                let mut program = Program::load(artifact)?;
-                // loaded artifacts carry a disabled handle; attach the sink
-                program.set_telemetry(telemetry.clone());
-                (program, read_input(input_path)?)
-            } else {
-                let [rules, input_path] = opts.positional.as_slice() else {
-                    return Err(CaError::Config("run needs a rules file and an input file".into()));
-                };
-                (compile_program(&opts, rules, &telemetry)?, read_input(input_path)?)
+            let (program, inputs) = program_and_inputs(command, &opts, &ca, &telemetry)?;
+            let [input_path] = inputs else {
+                return Err(config_err("run needs exactly one input file"));
             };
-            let report = if let Some(trace_path) = &opts.trace_out {
+            let input = read_input(input_path)?;
+            let report = if let Some(trace_path) = opts.get("--trace") {
                 // per-cycle trace alongside the scan
                 let mut fabric = program.compiled().fabric().map_err(|e| io_err(trace_path, e))?;
                 let file = std::fs::File::create(trace_path).map_err(|e| io_err(trace_path, e))?;
@@ -388,7 +375,7 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
                 let mut r = program.run(&input);
                 r.matches = exec.events;
                 r
-            } else if let Some(parallelism) = opts.shards {
+            } else if let Some(parallelism) = shards {
                 // sharded parallel scan: stripes on concurrent fabric
                 // instances, stitched into a serial-identical match list
                 program.run_parallel(&input, parallelism)?
@@ -408,12 +395,7 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
                 report.matches.len(),
                 report.exec.output_interrupts
             );
-            for m in report.matches.iter().take(opts.limit) {
-                let _ = writeln!(out, "  pattern {:>4} @ byte {}", m.code.0, m.pos);
-            }
-            if report.matches.len() > opts.limit {
-                let _ = writeln!(out, "  ... {} more", report.matches.len() - opts.limit);
-            }
+            list_matches(&mut out, &report.matches, limit);
             let _ = writeln!(
                 out,
                 "simulated: {:.3} ms at {} Gb/s | {:.3} nJ/symbol, {:.2} W avg",
@@ -422,61 +404,28 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
                 report.energy.per_symbol_nj,
                 report.energy.avg_power_w
             );
-            if let Some(path) = &opts.metrics_out {
-                telemetry.flush();
-                let _ = writeln!(out, "metrics written      : {path}");
-            }
+            metrics_footer(&mut out, &opts, &telemetry);
         }
         "mux" => {
-            let (program, inputs) = if let Some(artifact) = &opts.program_in {
-                if opts.positional.is_empty() {
-                    return Err(CaError::Config(
-                        "mux --program needs at least one input file".into(),
-                    ));
-                }
-                let mut program = Program::load(artifact)?;
-                program.set_telemetry(telemetry.clone());
-                (program, opts.positional.clone())
-            } else {
-                let Some((rules, inputs)) = opts.positional.split_first() else {
-                    return Err(CaError::Config(
-                        "mux needs a rules file and at least one input file".into(),
-                    ));
-                };
-                if inputs.is_empty() {
-                    return Err(CaError::Config("mux needs at least one input file".into()));
-                }
-                (compile_program(&opts, rules, &telemetry)?, inputs.to_vec())
-            };
-            let workers = opts.workers.unwrap_or_else(|| {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                cores.min(inputs.len()).max(1)
-            });
+            let (program, inputs) = program_and_inputs(command, &opts, &ca, &telemetry)?;
+            if inputs.is_empty() {
+                return Err(config_err("mux needs at least one input file"));
+            }
+            let workers = workers.unwrap_or_else(|| cores.min(inputs.len()));
             let pool = ScanPool::new(&program, PoolOptions { workers, ..PoolOptions::default() })?;
             let started = std::time::Instant::now();
             // One feeder thread per input: each reads its file (or FIFO)
             // incrementally and feeds its own logical stream; the pool
             // multiplexes the scans over the shared workers and fabrics.
-            let results: Vec<Result<(RunReport, u64), CaError>> = std::thread::scope(|scope| {
+            let results: Vec<_> = std::thread::scope(|scope| {
                 let feeders: Vec<_> = inputs
                     .iter()
                     .map(|path| {
                         let stream = pool.open_stream();
-                        scope.spawn(move || -> Result<(RunReport, u64), CaError> {
+                        scope.spawn(move || {
                             let mut stream = stream?;
-                            let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
-                            let mut reader = std::io::BufReader::new(file);
-                            let mut buf = vec![0u8; 64 * 1024];
-                            let mut total = 0u64;
-                            loop {
-                                let n = reader.read(&mut buf).map_err(|e| io_err(path, e))?;
-                                if n == 0 {
-                                    break;
-                                }
-                                total += n as u64;
-                                stream.feed(&buf[..n])?;
-                            }
-                            Ok((stream.finish()?, total))
+                            let bytes = pump_file(path, |chunk| stream.feed(chunk))?;
+                            Ok((stream.finish()?, bytes))
                         })
                     })
                     .collect();
@@ -516,40 +465,21 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
                 total_bytes as f64 / wall_s.max(1e-12) / 1e6,
                 simulated_max * 1e3
             );
-            if let Some(path) = &opts.metrics_out {
-                telemetry.flush();
-                let _ = writeln!(out, "metrics written      : {path}");
-            }
+            metrics_footer(&mut out, &opts, &telemetry);
         }
         "serve" => {
-            let [rules] = opts.positional.as_slice() else {
-                return Err(CaError::Config("serve needs exactly one rules file".into()));
-            };
-            let addr = opts.listen.as_deref().ok_or_else(|| {
-                CaError::Config("serve needs --listen host:port or unix:<path>".into())
-            })?;
-            let workers = opts
-                .workers
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-            let ca = configured_builder(&opts, &telemetry).build();
-            let rules_text = load_rules_text(rules)?;
+            let rules = opts.single(command, "rules file")?;
+            let addr = opts.listen(command)?;
+            let workers = workers.unwrap_or(cores);
             let options = DaemonOptions { pool: PoolOptions { workers, ..PoolOptions::default() } };
-            let daemon = Daemon::bind(&ca, &rules_text, addr, options)?;
-            // Announce before blocking — scripts wait for this line to
-            // know the socket is ready.
-            println!(
-                "serving {rules} on {} ({workers} workers, generation 0)",
-                daemon.local_addr()
-            );
-            let _ = std::io::Write::flush(&mut std::io::stdout());
+            let daemon = Daemon::bind(&ca, &load_rules_text(rules)?, addr, options)?;
+            let addr = daemon.local_addr();
+            announce(&format!("serving {rules} on {addr} ({workers} workers, generation 0)"));
             daemon.wait();
         }
         "connect" => {
-            let addr = opts.listen.as_deref().ok_or_else(|| {
-                CaError::Config("connect needs --listen host:port or unix:<path>".into())
-            })?;
-            let mut client = Client::connect(addr)?;
-            if let Some(reload) = &opts.reload {
+            let mut client = Client::connect(opts.listen(command)?)?;
+            if let Some(reload) = opts.get("--reload") {
                 // `--reload same` recompiles the daemon's current rules —
                 // a generation bump to an identical program.
                 let rules_text =
@@ -561,22 +491,14 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
             let mut total_matches = 0usize;
             for path in &opts.positional {
                 let (stream, generation) = client.open_stream()?;
-                let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
-                let mut reader = std::io::BufReader::new(file);
-                let mut buf = vec![0u8; 64 * 1024];
-                let mut bytes = 0u64;
                 let mut live = 0usize;
-                loop {
-                    let n = reader.read(&mut buf).map_err(|e| io_err(path, e))?;
-                    if n == 0 {
-                        break;
-                    }
-                    bytes += n as u64;
-                    client.feed(stream, &buf[..n])?;
+                let bytes = pump_file(path, |chunk| {
+                    client.feed(stream, chunk)?;
                     // Drain matches as the stream scans; the FINISH report
                     // still carries the complete, ordered event list.
                     live += client.poll_matches(stream)?.len();
-                }
+                    Ok(())
+                })?;
                 live += client.poll_matches(stream)?.len();
                 let report = client.finish(stream)?;
                 total_bytes += bytes;
@@ -587,12 +509,7 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
                      (generation {generation})",
                     report.events.len()
                 );
-                for m in report.events.iter().take(opts.limit) {
-                    let _ = writeln!(out, "  pattern {:>4} @ byte {}", m.code.0, m.pos);
-                }
-                if report.events.len() > opts.limit {
-                    let _ = writeln!(out, "  ... {} more", report.events.len() - opts.limit);
-                }
+                list_matches(&mut out, &report.events, limit);
             }
             if !opts.positional.is_empty() {
                 let _ = writeln!(
@@ -614,10 +531,7 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
             );
         }
         "inspect" => {
-            let [rules] = opts.positional.as_slice() else {
-                return Err(CaError::Config("inspect needs exactly one rules file".into()));
-            };
-            let program = compile_program(&opts, rules, &telemetry)?;
+            let program = ca.compile_nfa(&load_nfa(opts.single(command, "rules file")?)?)?;
             let bs = &program.compiled().bitstream;
             let _ = writeln!(out, "{} partitions, {} routes", bs.partitions.len(), bs.routes.len());
             for (i, p) in bs.partitions.iter().enumerate() {
@@ -631,7 +545,7 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
                     p.import_dest.len()
                 );
             }
-            for r in bs.routes.iter().take(opts.limit) {
+            for r in bs.routes.iter().take(limit) {
                 let _ = writeln!(
                     out,
                     "  route p{}:{} --{}--> p{} port {}",
@@ -641,11 +555,11 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
         }
         "bench" => {
             let [rules, input_path] = opts.positional.as_slice() else {
-                return Err(CaError::Config("bench needs a rules file and an input file".into()));
+                return Err(config_err("bench needs a rules file and an input file"));
             };
             let nfa = load_nfa(rules)?;
             let input = read_input(input_path)?;
-            let program = compile_program(&opts, rules, &telemetry)?;
+            let program = ca.compile_nfa(&nfa)?;
             // measured host CPU (VASim-style sparse engine)
             let cpu = ca_baselines_measure(&nfa, &input);
             // simulated hardware
@@ -675,9 +589,7 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
         }
         "frompages" => {
             let [pages_path, input_path] = opts.positional.as_slice() else {
-                return Err(CaError::Config(
-                    "frompages needs a .capg file and an input file".into(),
-                ));
+                return Err(config_err("frompages needs a .capg file and an input file"));
             };
             let bytes = read_input(pages_path)?;
             let image =
@@ -694,53 +606,34 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
                 input.len(),
                 report.events.len()
             );
-            for m in report.events.iter().take(opts.limit) {
-                let _ = writeln!(out, "  pattern {:>4} @ byte {}", m.code.0, m.pos);
-            }
+            list_matches(&mut out, &report.events, limit);
         }
         "cache-serve" => {
             if !opts.positional.is_empty() {
-                return Err(CaError::Config("cache-serve takes no positional arguments".into()));
+                return Err(config_err("cache-serve takes no positional arguments"));
             }
-            let addr = opts.listen.as_deref().ok_or_else(|| {
-                CaError::Config("cache-serve needs --listen host:port or unix:<path>".into())
-            })?;
-            let dir = opts
-                .cache_dir
-                .clone()
-                .or_else(|| {
-                    std::env::var(cache_automaton::CACHE_DIR_ENV).ok().filter(|v| !v.is_empty())
-                })
-                .ok_or_else(|| {
-                    CaError::Config(format!(
-                        "cache-serve needs --cache-dir DIR or {} set",
-                        cache_automaton::CACHE_DIR_ENV
-                    ))
-                })?;
-            let server = CacheServer::bind_with_telemetry(addr, &dir, telemetry.clone())?;
-            // Announce before blocking — scripts wait for this line to
-            // know the socket is ready.
-            println!("cache peer serving {dir} on {}", server.local_addr());
-            let _ = std::io::Write::flush(&mut std::io::stdout());
+            let dir = opts.cache_dir(command)?;
+            let server =
+                CacheServer::bind_with_telemetry(opts.listen(command)?, &dir, telemetry.clone())?;
+            announce(&format!("cache peer serving {dir} on {}", server.local_addr()));
             server.wait();
         }
         "cache" => {
             let action = match opts.positional.as_slice() {
                 [] => "stats",
                 [action] => action.as_str(),
-                _ => return Err(CaError::Config("cache takes one action: stats or clear".into())),
+                _ => return Err(config_err("cache takes one action: stats or clear")),
             };
             // `--remote` redirects `stats` at a running cache peer: the
             // counters come back over a CACHE_STATS frame instead of a
             // local directory scan.
-            if let Some(addr) = &opts.remote {
+            if let Some(addr) = opts.get("--remote") {
                 if action != "stats" {
-                    return Err(CaError::Config(
-                        "--remote only supports the stats action (clear is local-only)".into(),
+                    return Err(config_err(
+                        "--remote only supports the stats action (clear is local-only)",
                     ));
                 }
-                let mut client = Client::connect(addr)?;
-                let s = client.cache_stats()?;
+                let s = Client::connect(addr)?.cache_stats()?;
                 let _ = writeln!(out, "cache peer   : {addr}");
                 let _ = writeln!(
                     out,
@@ -761,20 +654,7 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
                 );
                 return Ok(out);
             }
-            // Resolve the root exactly as the Builder would: explicit flag
-            // first, then the environment.
-            let dir = opts
-                .cache_dir
-                .clone()
-                .or_else(|| {
-                    std::env::var(cache_automaton::CACHE_DIR_ENV).ok().filter(|v| !v.is_empty())
-                })
-                .ok_or_else(|| {
-                    CaError::Config(format!(
-                        "cache needs --cache-dir DIR or {} set",
-                        cache_automaton::CACHE_DIR_ENV
-                    ))
-                })?;
+            let dir = opts.cache_dir(command)?;
             let disk = cache_automaton::DiskCache::new(&dir);
             match action {
                 "stats" => {
@@ -791,19 +671,17 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
                     let _ = writeln!(out, "cleared {dir}");
                 }
                 other => {
-                    return Err(CaError::Config(format!(
+                    return Err(config_err(format!(
                         "unknown cache action '{other}' (use stats or clear)"
                     )))
                 }
             }
         }
         "checkmetrics" => {
-            let [path] = opts.positional.as_slice() else {
-                return Err(CaError::Config("checkmetrics needs exactly one metrics file".into()));
-            };
+            let path = opts.single(command, "metrics file")?;
             let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
             let summary = cache_automaton::telemetry::validate_jsonl(&text)
-                .map_err(|e| CaError::Config(format!("{path}: invalid metrics stream: {e}")))?;
+                .map_err(|e| config_err(format!("{path}: invalid metrics stream: {e}")))?;
             let _ = writeln!(
                 out,
                 "{path}: {} events ok ({} counters, {} gauges, {} spans, {} logs)",
@@ -815,18 +693,10 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
             );
         }
         "anml" => {
-            let [rules] = opts.positional.as_slice() else {
-                return Err(CaError::Config("anml needs exactly one rules file".into()));
-            };
-            let nfa = load_nfa(rules)?;
+            let nfa = load_nfa(opts.single(command, "rules file")?)?;
             out = ca_automata::anml::to_anml(&nfa, "cactl");
         }
-        _ => return Err(CaError::Config(USAGE.into())),
+        _ => return Err(config_err(USAGE)),
     }
     Ok(out)
-}
-
-/// Writes a config image to disk in the `.capg` framed format.
-fn write_pages(image: &ca_sim::ConfigImage, path: &str) -> Result<(), CaError> {
-    std::fs::write(path, image.to_capg_bytes()).map_err(|e| io_err(path, e))
 }

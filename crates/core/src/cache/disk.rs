@@ -48,8 +48,8 @@ const LOCK_STALE_AFTER: Duration = Duration::from_secs(60);
 /// Artifact file extension.
 const ARTIFACT_EXT: &str = "capr";
 
-/// Quarantine extension for artifacts that failed validation.
-const QUARANTINE_EXT: &str = "corrupt";
+/// Suffix appended to the name of an artifact that failed validation.
+const QUARANTINE_EXT: &str = ".corrupt";
 
 /// The disk tier. See the [module docs](self) for layout and failure
 /// policy. `Clone`-free and cheap to construct: all state is the root
@@ -91,6 +91,23 @@ pub fn relative_path(key: &CacheKey) -> PathBuf {
     [namespace(), prefix, name].iter().collect()
 }
 
+/// `path` with `suffix` appended to its file name (extension kept).
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// Whether the lock file at `path` was last touched longer ago than
+/// [`LOCK_STALE_AFTER`] (a vanished or unreadable file is not stale).
+fn is_stale(path: &Path) -> bool {
+    std::fs::metadata(path)
+        .and_then(|m| m.modified())
+        .ok()
+        .and_then(|mtime| mtime.elapsed().ok())
+        .is_some_and(|age| age > LOCK_STALE_AFTER)
+}
+
 impl DiskCache {
     /// A disk tier rooted at `root`. The directory is created lazily on
     /// first write; a read against a missing directory is simply a miss.
@@ -120,10 +137,7 @@ impl DiskCache {
     /// Moves a failed-validation artifact out of the lookup path so it is
     /// never re-read, preserving it for post-mortems when possible.
     fn quarantine(&mut self, path: &Path) {
-        let mut quarantined = path.as_os_str().to_owned();
-        quarantined.push(".");
-        quarantined.push(QUARANTINE_EXT);
-        if std::fs::rename(path, &quarantined).is_err() {
+        if std::fs::rename(path, with_suffix(path, QUARANTINE_EXT)).is_err() {
             std::fs::remove_file(path).ok();
         }
         self.bump(|s| &mut s.corrupt, "cache.disk.corrupt");
@@ -171,19 +185,12 @@ impl DiskCache {
     /// holds it (in which case the write should be skipped — the winner
     /// writes identical bytes).
     fn try_lock(&mut self, path: &Path) -> Option<LockGuard> {
-        let mut lock_path = path.as_os_str().to_owned();
-        lock_path.push(".lock");
-        let lock_path = PathBuf::from(lock_path);
+        let lock_path = with_suffix(path, ".lock");
         for attempt in 0..2 {
             match std::fs::OpenOptions::new().write(true).create_new(true).open(&lock_path) {
                 Ok(_) => return Some(LockGuard { path: lock_path }),
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let stale = std::fs::metadata(&lock_path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|mtime| mtime.elapsed().ok())
-                        .is_some_and(|age| age > LOCK_STALE_AFTER);
-                    if stale && attempt == 0 {
+                    if is_stale(&lock_path) && attempt == 0 {
                         // Break the abandoned lock by *claiming* it with a
                         // rename to a unique name before deleting. Several
                         // writers may judge the same lock stale, but only
@@ -192,13 +199,11 @@ impl DiskCache {
                         // here would let the slower contender delete the
                         // fresh lock the faster one just created.
                         static BREAK_SEQ: AtomicU64 = AtomicU64::new(0);
-                        let mut claimed = lock_path.as_os_str().to_owned();
-                        claimed.push(format!(
-                            ".broken-{}-{}",
-                            std::process::id(),
-                            BREAK_SEQ.fetch_add(1, Ordering::Relaxed)
-                        ));
-                        let claimed = PathBuf::from(claimed);
+                        let seq = BREAK_SEQ.fetch_add(1, Ordering::Relaxed);
+                        let claimed = with_suffix(
+                            &lock_path,
+                            &format!(".broken-{}-{seq}", std::process::id()),
+                        );
                         if std::fs::rename(&lock_path, &claimed).is_ok() {
                             // Re-judge on the claimed file: between the
                             // staleness check and the rename, a faster
@@ -207,12 +212,7 @@ impl DiskCache {
                             // stole. Fresh → put it back (link-then-unlink
                             // restores without clobbering anything newer)
                             // and treat the lock as contended.
-                            let still_stale = std::fs::metadata(&claimed)
-                                .and_then(|m| m.modified())
-                                .ok()
-                                .and_then(|mtime| mtime.elapsed().ok())
-                                .is_some_and(|age| age > LOCK_STALE_AFTER);
-                            if !still_stale {
+                            if !is_stale(&claimed) {
                                 let _ = std::fs::hard_link(&claimed, &lock_path);
                                 std::fs::remove_file(&claimed).ok();
                                 self.telemetry.counter("cache.disk.lock_skipped", 1);

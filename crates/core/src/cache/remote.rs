@@ -14,8 +14,7 @@
 //! * The connection is dialed lazily on first use, so merely configuring
 //!   a remote tier costs nothing until a compile actually happens.
 //! * Every socket operation — dial, write, read — carries a deadline
-//!   ([`RemoteCache::DEFAULT_TIMEOUT`], 5 s, or
-//!   [`Builder::remote_cache_timeout`](crate::Builder::remote_cache_timeout)).
+//!   ([`RemoteCache::DEFAULT_TIMEOUT`], 5 s).
 //!   A peer that accepted the connection and went silent is
 //!   indistinguishable from a dead one past the deadline; the stall is
 //!   bounded and counts as a transport failure.

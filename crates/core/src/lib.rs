@@ -69,7 +69,7 @@ pub use serve::proto::{
 };
 pub use serve::{PoolOptions, ScanPool, StreamHandle};
 pub use session::Session;
-pub use shard::{Parallelism, ScanOptions};
+pub use shard::Parallelism;
 
 /// Default bound of the in-process program cache, in entries.
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
@@ -266,7 +266,6 @@ pub struct Builder {
     disk_cache: Option<Option<std::path::PathBuf>>,
     /// Same tri-state as `disk_cache`, against [`CACHE_REMOTE_ENV`].
     remote_cache: Option<Option<String>>,
-    remote_cache_timeout: Option<std::time::Duration>,
     telemetry: Telemetry,
 }
 
@@ -356,16 +355,6 @@ impl Builder {
         self
     }
 
-    /// Socket budget of the remote tier: connect, read, and write each
-    /// get this deadline (default [`RemoteCache::DEFAULT_TIMEOUT`], 5 s).
-    /// A peer that stalls past it is a transport error, which latches the
-    /// tier broken — a hung peer costs one bounded stall, never a hang.
-    #[must_use]
-    pub fn remote_cache_timeout(mut self, timeout: std::time::Duration) -> Builder {
-        self.remote_cache_timeout = Some(timeout);
-        self
-    }
-
     /// Routes pipeline events (compile-pass spans, cache counters, fabric
     /// activity, scan-stripe timings) to `sink` — see the
     /// [`telemetry`] module for the sinks shipped in-tree and DESIGN.md §7
@@ -393,27 +382,17 @@ impl Builder {
         let capacity = self.cache_capacity.unwrap_or(DEFAULT_CACHE_CAPACITY);
         let mut cache = ArtifactCache::new(capacity);
         cache.set_telemetry(self.telemetry.clone());
-        let disk_root = match self.disk_cache {
-            Some(choice) => choice,
-            // undecided: the environment may opt the process in
-            None => std::env::var_os(CACHE_DIR_ENV)
-                .filter(|v| !v.is_empty())
-                .map(std::path::PathBuf::from),
-        };
+        // undecided tiers: the environment may opt the process in
+        let from_env = |name| std::env::var_os(name).filter(|v| !v.is_empty());
+        let disk_root = self.disk_cache.unwrap_or_else(|| from_env(CACHE_DIR_ENV).map(Into::into));
         if let Some(root) = disk_root {
             cache.push_tier(Box::new(DiskCache::new(root)));
         }
-        let remote_addr = match self.remote_cache {
-            Some(choice) => choice,
-            // undecided: the environment may opt the process in
-            None => std::env::var(CACHE_REMOTE_ENV).ok().filter(|v| !v.is_empty()),
-        };
+        let remote_addr = self
+            .remote_cache
+            .unwrap_or_else(|| from_env(CACHE_REMOTE_ENV).and_then(|v| v.into_string().ok()));
         if let Some(addr) = remote_addr {
-            let mut remote = RemoteCache::new(addr);
-            if let Some(timeout) = self.remote_cache_timeout {
-                remote.set_timeout(timeout);
-            }
-            cache.push_tier(Box::new(remote));
+            cache.push_tier(Box::new(RemoteCache::new(addr)));
         }
         CacheAutomaton {
             options: CompilerOptions {
@@ -679,9 +658,7 @@ impl Program {
         let simulated_seconds = exec.cycles as f64 * self.timing.operating_clock_ps() * 1e-12;
         RunReport { matches, exec, energy, simulated_seconds }
     }
-}
 
-impl Program {
     /// How many independent instances of this program the configured cache
     /// can hold (the paper: "space savings can be directly translated to
     /// speedup by matching against multiple NFA instances", §5.2).

@@ -7,32 +7,9 @@
 //! invisible to the automaton: feeding a stream in any segmentation yields
 //! the same matches, cycle count and energy as one monolithic scan.
 
+use crate::session::SessionCore;
 use crate::{CaError, MatchEvent, Program, RunReport, Session};
-use ca_sim::fabric::{ExecStats, RunOptions, FIFO_REFILL_BYTES, PIPELINE_FILL_CYCLES};
 use ca_sim::{Fabric, Snapshot};
-
-/// Renders a finished session's accumulated *activity* into whole-stream
-/// exec stats, given the absolute stream offset the session started at.
-///
-/// Per-chunk runs each charged a pipeline fill and rounded their own FIFO
-/// refills up; a logical stream pays the fill exactly once — at its origin
-/// — and refills on absolute 64-byte boundaries. A session resumed from a
-/// snapshot therefore charges *no* fill (its predecessor already did) and
-/// counts only the refills between its entry offset and its exit offset,
-/// so the stats of a split-and-resumed stream sum to the monolithic
-/// scan's field by field.
-pub(crate) fn finalize_session_stats(stats: &mut ExecStats, resume_base: u64) {
-    stats.cycles = if stats.symbols == 0 {
-        0
-    } else if resume_base == 0 {
-        stats.symbols + PIPELINE_FILL_CYCLES
-    } else {
-        stats.symbols
-    };
-    let refill = FIFO_REFILL_BYTES as u64;
-    stats.fifo_refills =
-        (resume_base + stats.symbols).div_ceil(refill) - resume_base.div_ceil(refill);
-}
 
 /// An in-progress streaming scan over one logical input stream.
 ///
@@ -59,28 +36,13 @@ pub(crate) fn finalize_session_stats(stats: &mut ExecStats, resume_base: u64) {
 pub struct Scanner<'p> {
     program: &'p Program,
     fabric: Fabric,
-    resume: Option<Snapshot>,
-    /// Absolute stream offset this session started at (non-zero when the
-    /// session was created from a [`Snapshot`] of an earlier session).
-    resume_base: u64,
-    events: Vec<MatchEvent>,
-    /// How many of `events` have been handed out via
-    /// [`Session::poll_matches`].
-    delivered: usize,
-    stats: ExecStats,
+    core: SessionCore,
 }
 
 impl<'p> Scanner<'p> {
     pub(crate) fn new(program: &'p Program, resume: Option<Snapshot>) -> Scanner<'p> {
-        Scanner {
-            fabric: program.fabric(),
-            program,
-            resume_base: resume.as_ref().map_or(0, |s| s.symbol_counter),
-            resume,
-            events: Vec::new(),
-            delivered: 0,
-            stats: ExecStats::default(),
-        }
+        let core = resume.map_or_else(SessionCore::fresh, SessionCore::resumed);
+        Scanner { fabric: program.fabric(), program, core }
     }
 
     /// Scans the next chunk of the stream, returning the matches it
@@ -98,36 +60,29 @@ impl<'p> Scanner<'p> {
     /// compose: every event is handed out exactly once, whether by this
     /// method's return value or by a later `poll_matches`.
     pub fn feed(&mut self, chunk: &[u8]) -> &[MatchEvent] {
-        let first_new = self.feed_inner(chunk);
+        let first_new = self.core.events().len();
+        self.advance(chunk);
         // Events returned here count as delivered, so a later
         // `poll_matches` does not hand them out a second time.
-        self.delivered = self.events.len();
-        &self.events[first_new..]
+        self.core.undelivered();
+        &self.core.events()[first_new..]
     }
 
-    /// Scans one chunk, returning the index of the first event it added.
-    fn feed_inner(&mut self, chunk: &[u8]) -> usize {
-        let options = RunOptions { resume: self.resume.take(), ..Default::default() };
+    fn advance(&mut self, chunk: &[u8]) {
         // A scanner only ever resumes snapshots its own fabric produced
         // (foreign snapshots are rejected by `Program::resume_scanner`), so
         // the vector count always matches.
-        let report =
-            self.fabric.run_with(chunk, &options).expect("scanner snapshots match their fabric");
-        self.resume = report.snapshot;
-        let first_new = self.events.len();
-        self.events.extend(report.events);
-        self.stats.absorb_activity(&report.stats);
-        first_new
+        self.core.advance(&mut self.fabric, chunk).expect("scanner snapshots match their fabric");
     }
 
     /// Symbols consumed so far across all chunks.
     pub fn position(&self) -> u64 {
-        self.resume.as_ref().map_or(0, |s| s.symbol_counter)
+        self.core.snapshot().map_or(0, |s| s.symbol_counter)
     }
 
     /// All matches reported so far, in position order.
     pub fn matches(&self) -> &[MatchEvent] {
-        &self.events
+        self.core.events()
     }
 
     /// The current suspend image (`None` until the first `feed`).
@@ -135,7 +90,7 @@ impl<'p> Scanner<'p> {
     /// Persist it and continue the same logical stream later — in another
     /// scanner, process, or machine — via [`Program::resume_scanner`].
     pub fn snapshot(&self) -> Option<&Snapshot> {
-        self.resume.as_ref()
+        self.core.snapshot()
     }
 
     /// Ends the session and renders the accumulated activity into a
@@ -147,29 +102,21 @@ impl<'p> Scanner<'p> {
     /// already did) nor refills before its entry offset, so split streams
     /// sum to the monolithic scan.
     pub fn finish(self) -> RunReport {
-        let mut stats = self.stats;
-        finalize_session_stats(&mut stats, self.resume_base);
-        let mut events = self.events;
-        events.sort_unstable();
-        events.dedup();
-        stats.emit_counters(&self.program.telemetry());
-        self.program.report_from(events, stats)
+        self.core.finish(self.program)
     }
 }
 
 impl Session for Scanner<'_> {
     /// Scans the chunk immediately on the dedicated fabric. Never fails.
     fn feed(&mut self, chunk: &[u8]) -> Result<(), CaError> {
-        self.feed_inner(chunk);
+        self.advance(chunk);
         Ok(())
     }
 
     /// Events scanned but not yet handed out — by this method *or* by the
     /// compat [`Scanner::feed`] return value.
     fn poll_matches(&mut self) -> &[MatchEvent] {
-        let fresh = &self.events[self.delivered..];
-        self.delivered = self.events.len();
-        fresh
+        self.core.undelivered()
     }
 
     fn finish(self) -> Result<RunReport, CaError> {
@@ -260,7 +207,7 @@ mod tests {
         second.feed(&input[64..]);
         let second_exec = second.finish().exec;
 
-        assert_eq!(first_exec.cycles, 64 + PIPELINE_FILL_CYCLES);
+        assert_eq!(first_exec.cycles, 64 + ca_sim::fabric::PIPELINE_FILL_CYCLES);
         assert_eq!(second_exec.cycles, 136, "resumed session must not re-charge pipeline fill");
         assert_eq!(first_exec.fifo_refills + second_exec.fifo_refills, whole.exec.fifo_refills);
         assert_eq!(first_exec.cycles + second_exec.cycles, whole.exec.cycles);

@@ -1,10 +1,10 @@
 //! The remote cache tier's server half: `cactl cache-serve` as a library.
 //!
 //! A [`CacheServer`] answers CACHE_GET / CACHE_PUT / CACHE_STATS frames
-//! of the [wire protocol](super::proto) over the same TCP/Unix accept
-//! machinery as the scan [`Daemon`](super::daemon::Daemon) (both are
-//! built on [`NetServer`]), backed by a [`DiskCache`] — so the fleet
-//! tier inherits the disk tier's semantics wholesale:
+//! of the [wire protocol](super::proto). It is the same frame server as
+//! the scan [`Daemon`](super::daemon::Daemon) around a different service
+//! (`serve/net.rs`), backed by a [`DiskCache`] — so the fleet tier
+//! inherits the disk tier's semantics wholesale:
 //!
 //! * **Lookups** go through the disk tier's validated read path: a
 //!   stored artifact that fails checksum or decode is quarantined
@@ -16,8 +16,9 @@
 //!   poison the fleet. Accepted artifacts are written atomically under
 //!   the tier's advisory locking.
 //! * **Scan frames are refused** with the typed Unsupported error
-//!   (code 9), mirroring the scan daemon refusing cache frames: each
-//!   server refuses the other's vocabulary against a stable code.
+//!   (code 9), mirroring the scan daemon refusing cache frames: the frame
+//!   server refuses whatever its service does not serve against a stable
+//!   code.
 //!
 //! Request counters surface as `cache.serve.*` telemetry and through
 //! CACHE_STATS (`cactl cache stats --remote <addr>`).
@@ -47,61 +48,57 @@
 //! # }
 //! ```
 
-use super::net::NetServer;
-use super::proto::{error_to_wire, read_frame, write_frame, CacheServerStats, Frame};
+use super::net::{FrameServer, FrameService, ServerState};
+use super::proto::{CacheServerStats, Frame};
 use crate::cache::disk::DiskCache;
 use crate::cache::{CacheKey, CacheTier};
 use crate::{CaError, Program};
 use ca_telemetry::Telemetry;
-use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 struct CacheServerShared {
-    /// The disk tier all connections share; the mutex serializes request
-    /// handling against it (artifact I/O is milliseconds — contention is
-    /// not a concern at cache-peer request rates).
-    disk: Mutex<DiskCache>,
-    telemetry: Telemetry,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    rejected: AtomicU64,
-    bytes_served: AtomicU64,
-    bytes_stored: AtomicU64,
+    /// The disk tier all connections share and the request counters; the
+    /// mutex serializes request handling (artifact I/O is milliseconds —
+    /// contention is not a concern at cache-peer request rates).
+    store: Mutex<Store>,
+    server: ServerState,
+}
+
+struct Store {
+    disk: DiskCache,
+    /// The request counters; the disk-inventory fields stay zero here and
+    /// are filled in per STATS request.
+    served: CacheServerStats,
 }
 
 impl CacheServerShared {
-    fn bump(&self, counter: &AtomicU64, name: &'static str, by: u64) {
-        counter.fetch_add(by, Ordering::Relaxed);
-        self.telemetry.counter(name, by);
+    fn store(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().expect("cache store lock")
+    }
+
+    fn bump(&self, counter: &mut u64, name: &'static str, by: u64) {
+        *counter += by;
+        self.server.telemetry.counter(name, by);
     }
 
     fn stats(&self) -> CacheServerStats {
-        let (entries, disk_bytes) =
-            self.disk.lock().expect("disk cache lock").scan().unwrap_or((0, 0));
-        CacheServerStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            bytes_served: self.bytes_served.load(Ordering::Relaxed),
-            bytes_stored: self.bytes_stored.load(Ordering::Relaxed),
-            entries,
-            disk_bytes,
-        }
+        let store = self.store();
+        let (entries, disk_bytes) = store.disk.scan().unwrap_or((0, 0));
+        CacheServerStats { entries, disk_bytes, ..store.served }
     }
 
     fn cache_get(&self, key: &CacheKey) -> Frame {
-        match self.disk.lock().expect("disk cache lock").load_bytes(key) {
+        let store = &mut *self.store();
+        match store.disk.load_bytes(key) {
             Some(artifact) => {
-                self.bump(&self.hits, "cache.serve.hits", 1);
-                self.bump(&self.bytes_served, "cache.serve.bytes_served", artifact.len() as u64);
+                self.bump(&mut store.served.hits, "cache.serve.hits", 1);
+                let bytes = artifact.len() as u64;
+                self.bump(&mut store.served.bytes_served, "cache.serve.bytes_served", bytes);
                 Frame::CacheFound { artifact }
             }
             None => {
-                self.bump(&self.misses, "cache.serve.misses", 1);
+                self.bump(&mut store.served.misses, "cache.serve.misses", 1);
                 Frame::CacheMiss
             }
         }
@@ -111,58 +108,54 @@ impl CacheServerShared {
         // Full validation before anything is persisted: magic, version,
         // checksum, and a structural decode. A peer cannot be poisoned by
         // one buggy (or hostile) client.
-        if let Err(e) = Program::from_bytes(artifact) {
-            self.bump(&self.rejected, "cache.serve.rejected", 1);
+        let valid = Program::from_bytes(artifact);
+        let store = &mut *self.store();
+        if let Err(e) = valid {
+            self.bump(&mut store.served.rejected, "cache.serve.rejected", 1);
             return Err(e);
         }
-        self.disk.lock().expect("disk cache lock").store(key, artifact);
-        self.bump(&self.puts, "cache.serve.puts", 1);
-        self.bump(&self.bytes_stored, "cache.serve.bytes_stored", artifact.len() as u64);
+        store.disk.store(key, artifact);
+        self.bump(&mut store.served.puts, "cache.serve.puts", 1);
+        let bytes = artifact.len() as u64;
+        self.bump(&mut store.served.bytes_stored, "cache.serve.bytes_stored", bytes);
         Ok(Frame::CachePutOk)
     }
+}
 
-    fn handle_frame(&self, frame: Frame) -> Frame {
-        let result = match frame {
-            Frame::CacheGet { key } => Ok(self.cache_get(&key)),
-            Frame::CachePut { key, artifact } => self.cache_put(&key, &artifact),
-            Frame::CacheStats => Ok(Frame::CacheStatsReply(self.stats())),
-            // The mirror image of the scan daemon refusing cache frames:
-            // a cache peer does not scan. Same stable code (9), so a
-            // misdirected client degrades predictably either way.
-            Frame::OpenStream
-            | Frame::FeedChunk { .. }
-            | Frame::PollMatches { .. }
-            | Frame::Finish { .. }
-            | Frame::Stats
-            | Frame::Reload { .. } => {
-                Err(CaError::Unsupported("this cache peer does not serve scan frames".into()))
-            }
-            // Server-to-client frames arriving at the server are a
-            // protocol violation.
-            other => Err(CaError::Protocol(format!(
-                "unexpected frame kind {:?} from a client",
-                std::mem::discriminant(&other)
-            ))),
-        };
-        match result {
-            Ok(reply) => reply,
-            Err(e) => error_to_wire(&e),
-        }
+impl FrameService for CacheServerShared {
+    /// The mirror image of the scan daemon refusing cache frames: a cache
+    /// peer does not scan.
+    const REFUSAL: &'static str = "this cache peer does not serve scan frames";
+
+    type Conn = ();
+
+    fn open(&self, _conn_id: u64) {}
+
+    fn server(&self) -> &ServerState {
+        &self.server
+    }
+
+    fn handle(&self, _conn: &mut (), frame: Frame) -> Result<Option<Frame>, CaError> {
+        Ok(Some(match frame {
+            Frame::CacheGet { key } => self.cache_get(&key),
+            Frame::CachePut { key, artifact } => self.cache_put(&key, &artifact)?,
+            Frame::CacheStats => Frame::CacheStatsReply(self.stats()),
+            _ => return Ok(None),
+        }))
     }
 }
 
 /// A cache peer bound to a socket, accepting connections on a background
 /// thread. See the [module docs](self) for semantics.
 pub struct CacheServer {
-    shared: Arc<CacheServerShared>,
-    server: NetServer,
+    server: FrameServer<CacheServerShared>,
 }
 
 impl std::fmt::Debug for CacheServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheServer")
             .field("addr", self.server.local_addr())
-            .field("stats", &self.shared.stats())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -193,25 +186,11 @@ impl CacheServer {
     ) -> Result<CacheServer, CaError> {
         let mut disk = DiskCache::new(cache_dir);
         disk.set_telemetry(telemetry.clone());
-        let shared = Arc::new(CacheServerShared {
-            disk: Mutex::new(disk),
-            telemetry,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            bytes_served: AtomicU64::new(0),
-            bytes_stored: AtomicU64::new(0),
+        let service = Arc::new(CacheServerShared {
+            store: Mutex::new(Store { disk, served: CacheServerStats::default() }),
+            server: ServerState::new(telemetry),
         });
-        let conn_shared = Arc::clone(&shared);
-        let server = NetServer::bind(addr, move |conn, _id| {
-            let result = serve_connection(&conn_shared, conn);
-            conn_shared.telemetry.flush();
-            // A connection failing is that connection's problem; the peer
-            // keeps serving (the error was reported inline if possible).
-            drop(result);
-        })?;
-        Ok(CacheServer { shared, server })
+        Ok(CacheServer { server: FrameServer::bind(addr, service)? })
     }
 
     /// The address the peer actually listens on — with an ephemeral TCP
@@ -224,7 +203,7 @@ impl CacheServer {
     /// Current request counters plus disk inventory (the same numbers a
     /// CACHE_STATS frame returns).
     pub fn stats(&self) -> CacheServerStats {
-        self.shared.stats()
+        self.server.service().stats()
     }
 
     /// Stops accepting and joins connection threads (which exit when
@@ -234,57 +213,13 @@ impl CacheServer {
     ///
     /// [`CaError::Internal`] if a server thread panicked.
     pub fn shutdown(mut self) -> Result<(), CaError> {
-        self.shutdown_inner()
-    }
-
-    fn shutdown_inner(&mut self) -> Result<(), CaError> {
-        let result = self.server.shutdown();
-        self.shared.telemetry.flush();
-        result
+        self.server.shutdown()
     }
 
     /// Blocks until the server shuts down (for a foreground `cactl
     /// cache-serve`, that is "forever" — until the process is killed).
     pub fn wait(mut self) {
         self.server.wait();
-    }
-}
-
-impl Drop for CacheServer {
-    fn drop(&mut self) {
-        if !self.server.is_down() {
-            let _ = self.shutdown_inner();
-        }
-    }
-}
-
-fn serve_connection(
-    shared: &Arc<CacheServerShared>,
-    conn: super::net::Conn,
-) -> Result<(), CaError> {
-    let reader_conn = conn.try_clone().map_err(|e| CaError::Io(format!("clone socket: {e}")))?;
-    let mut reader = BufReader::new(reader_conn);
-    let mut writer = BufWriter::new(conn);
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(()), // clean disconnect
-            Err(e) => {
-                let _ = write_frame(&mut writer, &error_to_wire(&e));
-                let _ = writer.flush();
-                return Err(e);
-            }
-        };
-        let reply = shared.handle_frame(frame);
-        match write_frame(&mut writer, &reply) {
-            Ok(()) => {}
-            // An encode-side refusal writes nothing — downgrade to a
-            // typed ERROR so the client gets a reply and the connection
-            // stays usable.
-            Err(e @ CaError::Protocol(_)) => write_frame(&mut writer, &error_to_wire(&e))?,
-            Err(e) => return Err(e),
-        }
-        writer.flush().map_err(|e| CaError::Io(format!("flushing reply: {e}")))?;
     }
 }
 
@@ -369,22 +304,6 @@ mod tests {
         client.cache_put(&key(7), &program.to_bytes()).unwrap();
         assert!(client.cache_get(&key(7)).unwrap().is_some());
 
-        drop(client);
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn scan_frames_get_the_unsupported_refusal() {
-        let dir = scratch("refusal");
-        let server = CacheServer::bind("127.0.0.1:0", &dir).unwrap();
-        let mut client = Client::connect(&server.local_addr()).unwrap();
-        let err = client.open_stream().unwrap_err();
-        assert_eq!(err.code(), 9, "cache peer refuses scan frames: {err}");
-        assert!(matches!(err, CaError::Unsupported(_)));
-        let err = client.stats().unwrap_err();
-        assert_eq!(err.code(), 9);
-        // the connection is still good for cache traffic
-        assert_eq!(client.cache_get(&key(3)).unwrap(), None);
         drop(client);
         server.shutdown().unwrap();
     }

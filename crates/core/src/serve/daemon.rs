@@ -52,15 +52,14 @@
 //! ```
 
 pub use super::net::ListenAddr;
-use super::net::{dial, Conn, NetServer};
+use super::net::{dial, Conn, FrameServer, FrameService, ServerState};
 use super::proto::{
-    error_from_wire, error_to_wire, read_frame, write_frame, CacheServerStats, Frame, ServerStats,
-    WireReport, MAX_EVENTS_PER_MATCHES_FRAME,
+    error_from_wire, read_frame, write_frame, CacheServerStats, Frame, ServerStats, WireReport,
+    MAX_EVENTS_PER_MATCHES_FRAME,
 };
 use super::{PoolOptions, ScanPool, StreamHandle};
 use crate::cache::CacheKey;
 use crate::{CaError, CacheAutomaton, MatchEvent, Program};
-use ca_telemetry::Telemetry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,6 +81,8 @@ pub struct DaemonOptions {
 struct Generation {
     id: u64,
     pool: ScanPool,
+    /// The rule text this generation serves; an empty RELOAD recompiles it.
+    rules: String,
 }
 
 struct DaemonShared {
@@ -89,14 +90,11 @@ struct DaemonShared {
     /// instance the daemon was built from, so a same-rules reload is a
     /// cache hit, not a recompilation.
     compiler: CacheAutomaton,
-    /// The rule text currently served; an empty RELOAD recompiles it.
-    rules: Mutex<String>,
     current: Mutex<Arc<Generation>>,
     pool_options: PoolOptions,
-    telemetry: Telemetry,
+    server: ServerState,
     reloads: AtomicU64,
     next_generation: AtomicU64,
-    connections_live: AtomicU64,
     streams_served: AtomicU64,
 }
 
@@ -107,7 +105,7 @@ impl DaemonShared {
             generation: current.id,
             reloads: self.reloads.load(Ordering::Relaxed),
             live_streams: current.pool.live_streams() as u64,
-            connections: self.connections_live.load(Ordering::Relaxed),
+            connections: self.server.connections(),
             streams_served: self.streams_served.load(Ordering::Relaxed),
         }
     }
@@ -116,28 +114,30 @@ impl DaemonShared {
     /// fresh generation. In-flight streams keep draining on their own
     /// generation's pool.
     fn reload(&self, rules: String) -> Result<u64, CaError> {
-        let effective =
-            if rules.is_empty() { self.rules.lock().expect("rules lock").clone() } else { rules };
-        let program = compile_rules(&self.compiler, &effective)?;
+        let rules = if rules.is_empty() {
+            self.current.lock().expect("generation lock").rules.clone()
+        } else {
+            rules
+        };
+        let program = compile_rules(&self.compiler, &rules)?;
         let pool = ScanPool::new(&program, self.pool_options)?;
         let id = self.next_generation.fetch_add(1, Ordering::Relaxed);
         // The pool holds everything the program contributes; the program
         // value itself need not outlive compilation.
         drop(program);
-        let fresh = Arc::new(Generation { id, pool });
+        let fresh = Arc::new(Generation { id, pool, rules });
         let old = {
             let mut current = self.current.lock().expect("generation lock");
             std::mem::replace(&mut *current, fresh)
         };
-        *self.rules.lock().expect("rules lock") = effective;
         self.reloads.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.counter("serve.reload.count", 1);
-        self.telemetry.gauge("serve.reload.generation", 0, id as f64);
+        self.server.telemetry.counter("serve.reload.count", 1);
+        self.server.telemetry.gauge("serve.reload.generation", 0, id as f64);
         // Dropping the old Arc outside the generation lock: if no stream
         // still references it, the pool drains and joins here, without
         // stalling concurrent OPEN_STREAMs.
         drop(old);
-        self.telemetry.flush();
+        self.server.telemetry.flush();
         Ok(id)
     }
 }
@@ -177,19 +177,18 @@ pub fn compile_rules(ca: &CacheAutomaton, text: &str) -> Result<Program, CaError
 }
 
 /// A serving daemon bound to a socket, accepting connections on a
-/// background thread (the transport lives in [`NetServer`]). See the
+/// background thread (the crate's one frame server around the scan service). See the
 /// [module docs](self) for the protocol, backpressure, and reload
 /// semantics.
 pub struct Daemon {
-    shared: Arc<DaemonShared>,
-    server: NetServer,
+    server: FrameServer<DaemonShared>,
 }
 
 impl std::fmt::Debug for Daemon {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Daemon")
             .field("addr", self.server.local_addr())
-            .field("stats", &self.shared.stats())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -208,23 +207,17 @@ impl Daemon {
         options: DaemonOptions,
     ) -> Result<Daemon, CaError> {
         let program = compile_rules(ca, rules)?;
-        let telemetry = program.telemetry();
         let pool = ScanPool::new(&program, options.pool)?;
-        let shared = Arc::new(DaemonShared {
+        let service = Arc::new(DaemonShared {
             compiler: ca.clone(),
-            rules: Mutex::new(rules.to_string()),
-            current: Mutex::new(Arc::new(Generation { id: 0, pool })),
+            current: Mutex::new(Arc::new(Generation { id: 0, pool, rules: rules.to_string() })),
             pool_options: options.pool,
-            telemetry,
+            server: ServerState::new(program.telemetry()),
             reloads: AtomicU64::new(0),
             next_generation: AtomicU64::new(1),
-            connections_live: AtomicU64::new(0),
             streams_served: AtomicU64::new(0),
         });
-        let conn_shared = Arc::clone(&shared);
-        let server =
-            NetServer::bind(addr, move |conn, id| connection_loop(&conn_shared, conn, id))?;
-        Ok(Daemon { shared, server })
+        Ok(Daemon { server: FrameServer::bind(addr, service)? })
     }
 
     /// The address the daemon actually listens on — with an ephemeral TCP
@@ -235,7 +228,7 @@ impl Daemon {
 
     /// Current daemon counters (the same numbers a STATS frame returns).
     pub fn stats(&self) -> ServerStats {
-        self.shared.stats()
+        self.server.service().stats()
     }
 
     /// Stops accepting connections, joins the connection threads (which
@@ -247,27 +240,13 @@ impl Daemon {
     /// [`CaError::Internal`] if the accept or a connection thread
     /// panicked.
     pub fn shutdown(mut self) -> Result<(), CaError> {
-        self.shutdown_inner()
-    }
-
-    fn shutdown_inner(&mut self) -> Result<(), CaError> {
-        let result = self.server.shutdown();
-        self.shared.telemetry.flush();
-        result
+        self.server.shutdown()
     }
 
     /// Blocks until the daemon shuts down (for a foreground `cactl
     /// serve`, that is "forever" — until the process is killed).
     pub fn wait(mut self) {
         self.server.wait();
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        if !self.server.is_down() {
-            let _ = self.shutdown_inner();
-        }
     }
 }
 
@@ -293,150 +272,93 @@ fn drain_capped(pending: &mut VecDeque<MatchEvent>, cap: usize) -> Vec<MatchEven
     pending.drain(..n).collect()
 }
 
-fn connection_loop(shared: &Arc<DaemonShared>, conn: Conn, conn_id: u64) {
-    shared.telemetry.counter("serve.conn.accepted", 1);
-    let live = shared.connections_live.fetch_add(1, Ordering::Relaxed) + 1;
-    shared.telemetry.gauge("serve.conn.live", 0, live as f64);
-    let result = serve_connection(shared, conn, conn_id);
-    shared.connections_live.fetch_sub(1, Ordering::Relaxed);
-    shared.telemetry.counter("serve.conn.closed", 1);
-    let live = shared.connections_live.load(Ordering::Relaxed);
-    shared.telemetry.gauge("serve.conn.live", 0, live as f64);
-    shared.telemetry.flush();
-    // A connection failing is that connection's problem; the daemon keeps
-    // serving. The error was already reported to the peer where possible.
-    drop(result);
+/// The streams one connection has open. Dropping it (the client left)
+/// abandons the unfinished ones: queued work discarded, pool slots freed.
+struct DaemonConn {
+    streams: HashMap<u64, ConnStream>,
+    /// Stream ids are daemon-assigned, scoped to the connection.
+    next_stream: u64,
 }
 
-fn serve_connection(shared: &Arc<DaemonShared>, conn: Conn, conn_id: u64) -> Result<(), CaError> {
-    let reader_conn = conn.try_clone().map_err(|e| CaError::Io(format!("clone socket: {e}")))?;
-    let mut reader = BufReader::new(reader_conn);
-    let mut writer = BufWriter::new(conn);
-    // Stream ids are daemon-assigned, scoped to the connection.
-    let mut streams: HashMap<u64, ConnStream> = HashMap::new();
-    let mut next_stream = (conn_id << 32) | 1;
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            // Clean disconnect: abandon any unfinished streams (their
-            // queued work is discarded, pool slots freed).
-            Ok(None) => return Ok(()),
-            Err(e) => {
-                // Best-effort typed goodbye; the connection is already
-                // suspect, so ignore secondary failures.
-                let _ = write_frame(&mut writer, &error_to_wire(&e));
-                let _ = writer.flush();
-                return Err(e);
-            }
-        };
-        shared.telemetry.counter("serve.conn.frames", 1);
-        let reply = handle_frame(shared, &mut streams, &mut next_stream, frame);
-        match write_frame(&mut writer, &reply) {
-            Ok(()) => {}
-            // An encode-side refusal (the reply would exceed the frame
-            // cap) writes nothing — downgrade to a typed ERROR so the
-            // client gets a reply and the connection stays usable.
-            Err(e @ CaError::Protocol(_)) => write_frame(&mut writer, &error_to_wire(&e))?,
-            Err(e) => return Err(e),
-        }
-        writer.flush().map_err(|e| CaError::Io(format!("flushing reply: {e}")))?;
+impl DaemonConn {
+    fn stream(&mut self, id: u64) -> Result<&mut ConnStream, CaError> {
+        self.streams.get_mut(&id).ok_or_else(|| unknown_stream(id))
     }
 }
 
-fn handle_frame(
-    shared: &Arc<DaemonShared>,
-    streams: &mut HashMap<u64, ConnStream>,
-    next_stream: &mut u64,
-    frame: Frame,
-) -> Frame {
-    match try_handle_frame(shared, streams, next_stream, frame) {
-        Ok(reply) => reply,
-        Err(e) => error_to_wire(&e),
-    }
+fn unknown_stream(id: u64) -> CaError {
+    CaError::Config(format!("unknown stream id {id} on this connection"))
 }
 
-fn try_handle_frame(
-    shared: &Arc<DaemonShared>,
-    streams: &mut HashMap<u64, ConnStream>,
-    next_stream: &mut u64,
-    frame: Frame,
-) -> Result<Frame, CaError> {
-    let lookup = |streams: &mut HashMap<u64, ConnStream>, id: u64| -> Result<(), CaError> {
-        if streams.contains_key(&id) {
-            Ok(())
-        } else {
-            Err(CaError::Config(format!("unknown stream id {id} on this connection")))
-        }
-    };
-    match frame {
-        Frame::OpenStream => {
-            let generation = shared.current.lock().expect("generation lock").clone();
-            let handle = generation.pool.open_stream()?;
-            let stream = *next_stream;
-            *next_stream += 1;
-            let gen_id = generation.id;
-            streams.insert(
-                stream,
-                ConnStream { handle, pending: VecDeque::new(), _generation: generation },
-            );
-            shared.streams_served.fetch_add(1, Ordering::Relaxed);
-            shared.telemetry.counter("serve.conn.streams", 1);
-            Ok(Frame::StreamOpened { stream, generation: gen_id })
-        }
-        Frame::FeedChunk { stream, data } => {
-            lookup(streams, stream)?;
-            let entry = streams.get_mut(&stream).expect("looked up above");
-            // Blocks under backpressure — which stalls this connection's
-            // socket, not the daemon (see module docs).
-            if let Err(e) = entry.handle.feed(&data) {
-                streams.remove(&stream);
-                return Err(e);
+impl FrameService for DaemonShared {
+    /// The scan daemon is not a cache peer (`cactl cache-serve` is).
+    const REFUSAL: &'static str = "this daemon does not serve cache frames";
+
+    type Conn = DaemonConn;
+
+    fn open(&self, conn_id: u64) -> DaemonConn {
+        DaemonConn { streams: HashMap::new(), next_stream: (conn_id << 32) | 1 }
+    }
+
+    fn server(&self) -> &ServerState {
+        &self.server
+    }
+
+    fn handle(&self, conn: &mut DaemonConn, frame: Frame) -> Result<Option<Frame>, CaError> {
+        let telemetry = &self.server.telemetry;
+        Ok(Some(match frame {
+            Frame::OpenStream => {
+                let generation = self.current.lock().expect("generation lock").clone();
+                let handle = generation.pool.open_stream()?;
+                let stream = conn.next_stream;
+                conn.next_stream += 1;
+                let gen_id = generation.id;
+                conn.streams.insert(
+                    stream,
+                    ConnStream { handle, pending: VecDeque::new(), _generation: generation },
+                );
+                self.streams_served.fetch_add(1, Ordering::Relaxed);
+                telemetry.counter("serve.conn.streams", 1);
+                Frame::StreamOpened { stream, generation: gen_id }
             }
-            shared.telemetry.counter("serve.conn.rx_bytes", data.len() as u64);
-            Ok(Frame::FeedAck { stream, bytes: data.len() as u64 })
-        }
-        Frame::PollMatches { stream } => {
-            lookup(streams, stream)?;
-            let entry = streams.get_mut(&stream).expect("looked up above");
-            entry.pending.extend(entry.handle.poll_matches().iter().copied());
-            // Chunk under the frame cap; the surplus stays queued for the
-            // client's next poll, so no MATCHES reply can be oversized.
-            let events = drain_capped(&mut entry.pending, MAX_EVENTS_PER_MATCHES_FRAME);
-            Ok(Frame::Matches { stream, events })
-        }
-        Frame::Finish { stream } => {
-            lookup(streams, stream)?;
-            let entry = streams.remove(&stream).expect("looked up above");
-            let report = entry.handle.finish()?;
-            // `entry._generation` drops here; if this was the last stream
-            // of a retired generation, its pool drains and joins now.
-            Ok(Frame::Finished {
-                stream,
-                report: WireReport { events: report.matches, exec: report.exec },
-            })
-        }
-        Frame::Stats => Ok(Frame::StatsReply(shared.stats())),
-        Frame::Reload { rules } => match shared.reload(rules) {
-            Ok(generation) => Ok(Frame::ReloadOk { generation }),
-            Err(e) => {
-                shared.telemetry.counter("serve.reload.failed", 1);
-                Err(e)
+            Frame::FeedChunk { stream, data } => {
+                // Blocks under backpressure — which stalls this connection's
+                // socket, not the daemon (see module docs).
+                if let Err(e) = conn.stream(stream)?.handle.feed(&data) {
+                    conn.streams.remove(&stream);
+                    return Err(e);
+                }
+                telemetry.counter("serve.conn.rx_bytes", data.len() as u64);
+                Frame::FeedAck { stream, bytes: data.len() as u64 }
             }
-        },
-        // Valid client frames this daemon does not serve: the scan
-        // daemon is not a cache peer (`cactl cache-serve` is). The typed
-        // Unsupported code lets a RemoteCache probe degrade to a
-        // permanent miss instead of poisoning the connection — and lets
-        // it assert that behavior against a stable code, not a string.
-        Frame::CacheGet { .. } | Frame::CachePut { .. } | Frame::CacheStats => {
-            Err(CaError::Unsupported("this daemon does not serve cache frames".into()))
-        }
-        // Server-to-client frames arriving at the server are a protocol
-        // violation.
-        other => Err(CaError::Protocol(format!(
-            "unexpected frame kind {:?} from a client",
-            std::mem::discriminant(&other)
-        ))),
+            Frame::PollMatches { stream } => {
+                let entry = conn.stream(stream)?;
+                entry.pending.extend(entry.handle.poll_matches().iter().copied());
+                // Chunk under the frame cap; the surplus stays queued for the
+                // client's next poll, so no MATCHES reply can be oversized.
+                let events = drain_capped(&mut entry.pending, MAX_EVENTS_PER_MATCHES_FRAME);
+                Frame::Matches { stream, events }
+            }
+            Frame::Finish { stream } => {
+                let entry = conn.streams.remove(&stream).ok_or_else(|| unknown_stream(stream))?;
+                let report = entry.handle.finish()?;
+                // `entry._generation` drops here; if this was the last stream
+                // of a retired generation, its pool drains and joins now.
+                Frame::Finished {
+                    stream,
+                    report: WireReport { events: report.matches, exec: report.exec },
+                }
+            }
+            Frame::Stats => Frame::StatsReply(self.stats()),
+            Frame::Reload { rules } => match self.reload(rules) {
+                Ok(generation) => Frame::ReloadOk { generation },
+                Err(e) => {
+                    telemetry.counter("serve.reload.failed", 1);
+                    return Err(e);
+                }
+            },
+            _ => return Ok(None),
+        }))
     }
 }
 
@@ -450,7 +372,7 @@ fn try_handle_frame(
 /// The defaults — 5 s to connect, 30 s per read/write — are tuned for
 /// scan traffic: a FEED_ACK legitimately stalls while the daemon's
 /// bounded stream queue drains under backpressure, so the I/O deadlines
-/// are generous. The [`RemoteCache`](crate::cache::RemoteCache) tier
+/// are generous. The [`RemoteCache`](crate::cache::remote::RemoteCache) tier
 /// overrides them with its own much tighter budget (a cache peer answers
 /// in milliseconds or is treated as broken).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -522,9 +444,8 @@ impl Client {
         let conn = dial(&addr, options.connect_timeout)?;
         conn.set_timeouts(options.read_timeout, options.write_timeout)
             .map_err(|e| CaError::Io(format!("set socket timeouts: {e}")))?;
-        let reader_conn =
-            conn.try_clone().map_err(|e| CaError::Io(format!("clone socket: {e}")))?;
-        Ok(Client { reader: BufReader::new(reader_conn), writer: BufWriter::new(conn) })
+        let (reader, writer) = conn.split()?;
+        Ok(Client { reader, writer })
     }
 
     fn request(&mut self, frame: &Frame) -> Result<Frame, CaError> {
@@ -730,35 +651,6 @@ mod tests {
         let rest = drain_capped(&mut pending, 4);
         assert_eq!(rest.iter().map(|e| e.pos).collect::<Vec<_>>(), vec![8, 9]);
         assert!(drain_capped(&mut pending, 4).is_empty());
-    }
-
-    #[test]
-    fn cache_frames_get_a_typed_refusal_and_the_connection_survives() {
-        let ca = CacheAutomaton::new();
-        let daemon =
-            Daemon::bind(&ca, "needle\n", "127.0.0.1:0", DaemonOptions::default()).unwrap();
-        let mut client = Client::connect(&daemon.local_addr()).unwrap();
-        let key = CacheKey {
-            fingerprint: ca_automata::Fingerprint(1),
-            design: crate::Design::Performance,
-            slices: 8,
-            seed: 0,
-            optimized: false,
-        };
-        let err = client.cache_get(&key).unwrap_err();
-        assert_eq!(err.code(), 9, "scan daemon refuses cache frames with the Unsupported code");
-        assert!(matches!(err, CaError::Unsupported(_)), "{err}");
-        let err = client.cache_put(&key, b"CAPRjunk").unwrap_err();
-        assert_eq!(err.code(), 9);
-        let err = client.cache_stats().unwrap_err();
-        assert_eq!(err.code(), 9, "the stats frame is refused with the same code");
-        // the connection is still good for scanning
-        let (stream, _) = client.open_stream().unwrap();
-        client.feed(stream, b"a needle").unwrap();
-        let report = client.finish(stream).unwrap();
-        assert_eq!(report.events.len(), 1);
-        drop(client);
-        daemon.shutdown().unwrap();
     }
 
     #[test]

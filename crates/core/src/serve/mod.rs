@@ -10,9 +10,10 @@
 //!   [`StreamHandle`]s; a fixed set of worker threads services them.
 //! - **A bounded pool of recycled fabrics.** At most
 //!   [`PoolOptions::max_fabrics`] [`Fabric`] instances ever exist; between
-//!   batches a stream's state lives in its compact [`Snapshot`] (paper
-//!   §2.9), so a fabric serves one stream's batch, is
-//!   [`reset`](Fabric::reset), and moves on to any other stream.
+//!   batches a stream's state lives in its compact
+//!   [`Snapshot`](ca_sim::Snapshot) (paper §2.9), so a fabric serves one
+//!   stream's batch, is [`reset`](Fabric::reset), and moves on to any
+//!   other stream.
 //! - **Bounded queues with backpressure.** [`StreamHandle::feed`] blocks
 //!   once [`PoolOptions::queue_bytes`] are buffered, so a fast producer
 //!   cannot balloon memory.
@@ -24,11 +25,12 @@
 //!   (possibly corrupt) fabric is discarded rather than recycled; every
 //!   other stream keeps running.
 //!
-//! Per-stream results are exact: the matches and [`ExecStats`] a stream
-//! observes are bit-identical to running its chunks through a dedicated
-//! [`Scanner`](crate::Scanner) session, whatever the interleaving —
-//! activity counters are chunking-invariant and the finishing accounting
-//! is shared with `Scanner::finish`.
+//! Per-stream results are exact: the matches and
+//! [`ExecStats`](ca_sim::ExecStats) a stream observes are bit-identical to
+//! running its chunks through a dedicated [`Scanner`](crate::Scanner)
+//! session, whatever the interleaving — both advance and finish the same
+//! session core (`session.rs`), and activity counters are
+//! chunking-invariant.
 //!
 //! # Examples
 //!
@@ -55,14 +57,13 @@ pub mod daemon;
 pub(crate) mod net;
 pub mod proto;
 
-use crate::scanner::finalize_session_stats;
+use crate::session::SessionCore;
 use crate::{join_panic_to_internal, CaError, MatchEvent, Program, RunReport, Session};
-use ca_sim::fabric::{ExecStats, RunOptions};
-use ca_sim::{Fabric, Snapshot};
+use ca_sim::Fabric;
 use ca_telemetry::Telemetry;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Configuration of a [`ScanPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +89,10 @@ impl Default for PoolOptions {
 }
 
 /// Lifecycle of the pool as a whole.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Mode {
     /// Accepting streams and input.
+    #[default]
     Running,
     /// No new streams or input; queued work is still being processed.
     Draining,
@@ -99,7 +101,7 @@ enum Mode {
 }
 
 /// Per-stream mutable state, owned by the pool's mutex.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StreamState {
     /// Unprocessed input chunks, oldest first.
     queue: VecDeque<Vec<u8>>,
@@ -107,16 +109,9 @@ struct StreamState {
     queued_bytes: usize,
     /// Deficit-round-robin byte credit carried between services.
     deficit: usize,
-    /// Suspend image carrying fabric state between batches (§2.9).
-    snapshot: Option<Snapshot>,
-    /// All match events so far, in feed order (absolute positions).
-    events: Vec<MatchEvent>,
-    /// How many of `events` have been handed out incrementally.
-    delivered: usize,
-    /// Accumulated activity counters (cycles decided at finish).
-    stats: ExecStats,
-    /// No further `feed` calls will arrive.
-    closed: bool,
+    /// The stream's session: suspend image carrying fabric state between
+    /// batches (§2.9), events, delivery cursor, accumulated activity.
+    core: SessionCore,
     /// A worker is currently running a batch of this stream.
     running: bool,
     /// The stream sits in the ready ring.
@@ -125,26 +120,8 @@ struct StreamState {
     error: Option<CaError>,
 }
 
-impl StreamState {
-    fn new() -> StreamState {
-        StreamState {
-            queue: VecDeque::new(),
-            queued_bytes: 0,
-            deficit: 0,
-            snapshot: None,
-            events: Vec::new(),
-            delivered: 0,
-            stats: ExecStats::default(),
-            closed: false,
-            running: false,
-            scheduled: false,
-            error: None,
-        }
-    }
-}
-
 /// Pool state behind one mutex: streams, the DRR ring, the fabric pool.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
     streams: BTreeMap<u64, StreamState>,
     /// Stream ids with queued work, in service order (the DRR ring).
@@ -160,9 +137,8 @@ struct Inner {
 struct Shared {
     program: Program,
     telemetry: Telemetry,
-    max_fabrics: usize,
-    queue_bytes: usize,
-    quantum: usize,
+    /// As given, except `max_fabrics` is resolved (never 0).
+    options: PoolOptions,
     inner: Mutex<Inner>,
     /// Wakes workers: ready work, a freed fabric, or a mode change.
     work_cv: Condvar,
@@ -177,10 +153,12 @@ impl Shared {
         // A worker panicking while holding the lock is already converted
         // to a typed stream error before the lock is released, so poisoning
         // carries no extra information — recover the guard.
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits on one of the pool's condition variables (same poison policy).
+    fn wait<'a>(&self, cv: &Condvar, guard: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
+        cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
     }
 
     fn emit_pool_gauges(&self, inner: &Inner) {
@@ -238,17 +216,8 @@ impl ScanPool {
         let shared = Arc::new(Shared {
             program: program.clone(),
             telemetry: program.telemetry(),
-            max_fabrics,
-            queue_bytes: options.queue_bytes,
-            quantum: options.quantum,
-            inner: Mutex::new(Inner {
-                streams: BTreeMap::new(),
-                ready: VecDeque::new(),
-                idle_fabrics: Vec::new(),
-                fabrics_created: 0,
-                next_id: 0,
-                mode: Mode::Running,
-            }),
+            options: PoolOptions { max_fabrics, ..options },
+            inner: Mutex::default(),
             work_cv: Condvar::new(),
             space_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -274,7 +243,7 @@ impl ScanPool {
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.streams.insert(id, StreamState::new());
+        inner.streams.insert(id, StreamState::default());
         self.shared.emit_pool_gauges(&inner);
         Ok(StreamHandle {
             shared: Arc::clone(&self.shared),
@@ -300,24 +269,7 @@ impl ScanPool {
     /// containment (should be unreachable; per-batch panics surface on the
     /// stream that hit them, not here).
     pub fn shutdown(mut self) -> Result<(), CaError> {
-        {
-            let mut inner = self.shared.lock();
-            if inner.mode == Mode::Running {
-                inner.mode = Mode::Draining;
-            }
-        }
-        self.notify_all();
-        let mut first_error = None;
-        for handle in std::mem::take(&mut self.workers) {
-            if let Err(payload) = handle.join() {
-                first_error
-                    .get_or_insert_with(|| join_panic_to_internal("scan pool worker", payload));
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.stop(Mode::Draining)
     }
 
     /// Discards all queued work, fails unfinished streams, and joins the
@@ -329,27 +281,41 @@ impl ScanPool {
     ///
     /// Same conditions as [`shutdown`](ScanPool::shutdown).
     pub fn abort(mut self) -> Result<(), CaError> {
+        self.stop(Mode::Aborted)
+    }
+
+    /// The one stop-and-join behind [`shutdown`](ScanPool::shutdown),
+    /// [`abort`](ScanPool::abort) and `Drop`: moves the pool to `mode`
+    /// (discarding queued work when aborting), wakes everyone, and joins
+    /// the workers. A second call finds no workers left and does nothing.
+    fn stop(&mut self, mode: Mode) -> Result<(), CaError> {
         {
             let mut inner = self.shared.lock();
-            inner.mode = Mode::Aborted;
-            inner.ready.clear();
-            for stream in inner.streams.values_mut() {
-                // A stream whose input was discarded must not later render
-                // a prefix-only report as if it were complete.
-                if stream.queued_bytes > 0 {
-                    stream.error.get_or_insert_with(|| {
-                        CaError::Internal(format!(
-                            "scan pool aborted with {} bytes of this stream unprocessed",
-                            stream.queued_bytes
-                        ))
-                    });
+            if mode == Mode::Aborted {
+                inner.mode = Mode::Aborted;
+                inner.ready.clear();
+                for stream in inner.streams.values_mut() {
+                    // A stream whose input was discarded must not later
+                    // render a prefix-only report as if it were complete.
+                    if stream.queued_bytes > 0 {
+                        stream.error.get_or_insert_with(|| {
+                            CaError::Internal(format!(
+                                "scan pool aborted with {} bytes of this stream unprocessed",
+                                stream.queued_bytes
+                            ))
+                        });
+                    }
+                    stream.queue.clear();
+                    stream.queued_bytes = 0;
+                    stream.scheduled = false;
                 }
-                stream.queue.clear();
-                stream.queued_bytes = 0;
-                stream.scheduled = false;
+            } else if inner.mode == Mode::Running {
+                inner.mode = mode;
             }
         }
-        self.notify_all();
+        self.shared.work_cv.notify_all();
+        self.shared.space_cv.notify_all();
+        self.shared.done_cv.notify_all();
         let mut first_error = None;
         for handle in std::mem::take(&mut self.workers) {
             if let Err(payload) = handle.join() {
@@ -357,34 +323,13 @@ impl ScanPool {
                     .get_or_insert_with(|| join_panic_to_internal("scan pool worker", payload));
             }
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn notify_all(&self) {
-        self.shared.work_cv.notify_all();
-        self.shared.space_cv.notify_all();
-        self.shared.done_cv.notify_all();
+        first_error.map_or(Ok(()), Err)
     }
 }
 
 impl Drop for ScanPool {
     fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return; // consumed by shutdown/abort
-        }
-        {
-            let mut inner = self.shared.lock();
-            if inner.mode == Mode::Running {
-                inner.mode = Mode::Draining;
-            }
-        }
-        self.notify_all();
-        for handle in std::mem::take(&mut self.workers) {
-            let _ = handle.join();
-        }
+        let _ = self.stop(Mode::Draining);
     }
 }
 
@@ -440,17 +385,14 @@ impl StreamHandle {
             if let Some(error) = &stream.error {
                 return Err(error.clone());
             }
-            if stream.queued_bytes < self.shared.queue_bytes {
+            if stream.queued_bytes < self.shared.options.queue_bytes {
                 break;
             }
             if !stalled {
                 stalled = true;
                 self.shared.telemetry.counter("serve.backpressure_stalls", 1);
             }
-            inner = match self.shared.space_cv.wait(inner) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            inner = self.shared.wait(&self.shared.space_cv, inner);
         }
         let id = self.id;
         let inner_mut = &mut *inner;
@@ -488,8 +430,7 @@ impl StreamHandle {
             let mut inner = self.shared.lock();
             let stream =
                 inner.streams.get_mut(&self.id).expect("stream state lives as long as its handle");
-            self.polled.extend_from_slice(&stream.events[stream.delivered..]);
-            stream.delivered = stream.events.len();
+            self.polled.extend_from_slice(stream.core.undelivered());
             self.polled.len()
         };
         self.shared.telemetry.counter("serve.polled_events", drained as u64);
@@ -508,46 +449,29 @@ impl StreamHandle {
         self.finished = true;
         let shared = Arc::clone(&self.shared);
         let mut inner = shared.lock();
-        if let Some(stream) = inner.streams.get_mut(&self.id) {
-            stream.closed = true;
-        }
-        loop {
+        let outcome = loop {
             let stream =
                 inner.streams.get(&self.id).expect("stream state lives as long as its handle");
             if let Some(error) = stream.error.clone() {
-                inner.streams.remove(&self.id);
-                shared.emit_pool_gauges(&inner);
-                return Err(error);
+                break Err(error);
             }
             if stream.queue.is_empty() && !stream.running {
-                break;
+                break Ok(());
             }
             if inner.mode == Mode::Aborted {
-                inner.streams.remove(&self.id);
-                shared.emit_pool_gauges(&inner);
-                return Err(CaError::Internal(
+                break Err(CaError::Internal(
                     "scan pool aborted before the stream completed".into(),
                 ));
             }
-            inner = match shared.done_cv.wait(inner) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+            inner = shared.wait(&shared.done_cv, inner);
+        };
         let stream = inner.streams.remove(&self.id).expect("present in the loop above");
         shared.emit_pool_gauges(&inner);
         drop(inner);
-
-        // Identical finishing path to `Scanner::finish`: streams always
-        // start at offset zero, so the pipeline fill is charged here and
-        // refills count from the stream origin.
-        let mut stats = stream.stats;
-        finalize_session_stats(&mut stats, 0);
-        let mut events = stream.events;
-        events.sort_unstable();
-        events.dedup();
-        stats.emit_counters(&shared.program.telemetry());
-        Ok(shared.program.report_from(events, stats))
+        outcome?;
+        // The finishing path `Scanner::finish` takes; pool streams always
+        // start at offset zero.
+        Ok(stream.core.finish(&shared.program))
     }
 }
 
@@ -585,9 +509,6 @@ impl Drop for StreamHandle {
     }
 }
 
-/// What one service of a stream produced, computed outside the lock.
-type BatchOutcome = Result<(Vec<MatchEvent>, ExecStats, Option<Snapshot>), CaError>;
-
 fn worker_loop(shared: &Shared) {
     let mut inner = shared.lock();
     loop {
@@ -599,17 +520,14 @@ fn worker_loop(shared: &Shared) {
                 Mode::Draining if inner.ready.is_empty() => return,
                 _ => {}
             }
-            let fabric_available =
-                !inner.idle_fabrics.is_empty() || inner.fabrics_created < shared.max_fabrics;
+            let fabric_available = !inner.idle_fabrics.is_empty()
+                || inner.fabrics_created < shared.options.max_fabrics;
             if fabric_available {
                 if let Some(id) = inner.ready.pop_front() {
                     break id;
                 }
             }
-            inner = match shared.work_cv.wait(inner) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            inner = shared.wait(&shared.work_cv, inner);
         };
 
         // Deficit round robin: grant the quantum, take whole chunks up to
@@ -620,7 +538,7 @@ fn worker_loop(shared: &Shared) {
             continue; // handle dropped between scheduling and service
         };
         stream.scheduled = false;
-        stream.deficit = stream.deficit.saturating_add(shared.quantum);
+        stream.deficit = stream.deficit.saturating_add(shared.options.quantum);
         let mut batch: Vec<Vec<u8>> = Vec::new();
         let mut batch_bytes = 0usize;
         while batch_bytes < stream.deficit {
@@ -641,7 +559,7 @@ fn worker_loop(shared: &Shared) {
             continue;
         }
         stream.running = true;
-        let resume = stream.snapshot.take();
+        let mut session = stream.core.fork();
 
         // Claim a fabric: recycle an idle one or mint a new instance under
         // the bound (reserved inside the lock, built outside it).
@@ -658,65 +576,48 @@ fn worker_loop(shared: &Shared) {
         // Run the batch with panic containment: a panicking scan must not
         // take down the pool, and the fabric that hit it may hold corrupt
         // scratch, so it is discarded instead of recycled.
-        let outcome: Result<BatchOutcome, _> = catch_unwind(AssertUnwindSafe(|| {
-            let mut events = Vec::new();
-            let mut stats = ExecStats::default();
-            let mut resume = resume;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             for chunk in &batch {
-                let options = RunOptions { resume: resume.take(), ..Default::default() };
-                let report = fabric.run_with(chunk, &options).map_err(|e| {
+                session.advance(&mut fabric, chunk).map_err(|e| {
                     CaError::Internal(format!("pooled fabric rejected its own snapshot: {e}"))
                 })?;
-                resume = report.snapshot;
-                events.extend(report.events);
-                stats.absorb_activity(&report.stats);
             }
-            Ok((events, stats, resume))
+            Ok(session)
         }));
 
-        let fabric_back = match &outcome {
-            Ok(_) => {
-                // State rides in the stream's snapshot, not the fabric, so
-                // the instance is recycled for *any* stream after a cheap
-                // scratch reset.
-                fabric.reset();
-                Some(fabric)
-            }
-            Err(_) => None,
-        };
+        // State rides in the stream's snapshot, not the fabric, so after a
+        // cheap scratch reset the instance is recycled for *any* stream —
+        // unless the batch panicked, which forfeits it.
+        let recycle = outcome.is_ok();
+        if recycle {
+            fabric.reset();
+        }
 
         inner = shared.lock();
-        match fabric_back {
-            Some(fabric) => inner.idle_fabrics.push(fabric),
-            None => inner.fabrics_created -= 1,
+        if recycle {
+            inner.idle_fabrics.push(fabric);
+        } else {
+            inner.fabrics_created -= 1;
         }
-        let mut reschedule = false;
-        if let Some(stream) = inner.streams.get_mut(&id) {
+        let inner_mut = &mut *inner;
+        if let Some(stream) = inner_mut.streams.get_mut(&id) {
             stream.running = false;
-            match outcome {
-                Ok(Ok((events, stats, snapshot))) => {
-                    stream.events.extend(events);
-                    stream.stats.absorb_activity(&stats);
-                    stream.snapshot = snapshot;
-                    reschedule = !stream.queue.is_empty();
+            let failed = match outcome {
+                Ok(Ok(session)) => {
+                    stream.core.absorb(session);
+                    if !stream.queue.is_empty() && inner_mut.mode != Mode::Aborted {
+                        stream.scheduled = true;
+                        inner_mut.ready.push_back(id);
+                    }
+                    None
                 }
-                Ok(Err(error)) => {
-                    stream.error = Some(error);
-                    stream.queue.clear();
-                    stream.queued_bytes = 0;
-                }
-                Err(payload) => {
-                    stream.error = Some(join_panic_to_internal("scan pool batch", payload));
-                    stream.queue.clear();
-                    stream.queued_bytes = 0;
-                }
-            }
-        }
-        if reschedule && inner.mode != Mode::Aborted {
-            let inner_mut = &mut *inner;
-            if let Some(stream) = inner_mut.streams.get_mut(&id) {
-                stream.scheduled = true;
-                inner_mut.ready.push_back(id);
+                Ok(Err(error)) => Some(error),
+                Err(payload) => Some(join_panic_to_internal("scan pool batch", payload)),
+            };
+            if failed.is_some() {
+                stream.error = failed;
+                stream.queue.clear();
+                stream.queued_bytes = 0;
             }
         }
         shared.emit_pool_gauges(&inner);

@@ -65,7 +65,7 @@
 //! lengths (> [`MAX_FRAME_PAYLOAD`]), non-zero reserved bytes, truncated
 //! or trailing payload bytes, and invalid UTF-8 all surface as typed
 //! [`ProtoError`]s, never panics — the proptests in
-//! `crates/core/tests/proto.rs` hold this over arbitrary byte soup.
+//! `crates/core/tests/proptests.rs` hold this over arbitrary byte soup.
 //! Encoding enforces the same cap: a frame whose payload would exceed
 //! [`MAX_FRAME_PAYLOAD`] (or whose counts overflow their wire width)
 //! fails with [`ProtoError::Oversized`] instead of silently truncating,
@@ -76,6 +76,7 @@
 use crate::cache::CacheKey;
 use crate::{CaError, Design, MatchEvent};
 use ca_automata::{Fingerprint, ReportCode};
+use ca_sim::artifact::{put_u32, put_u64, Reader, Truncated};
 use ca_sim::ExecStats;
 use std::io::{Read, Write};
 
@@ -168,6 +169,12 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+impl From<Truncated> for ProtoError {
+    fn from(t: Truncated) -> ProtoError {
+        ProtoError::Malformed(t.0)
+    }
+}
 
 impl From<ProtoError> for CaError {
     fn from(e: ProtoError) -> CaError {
@@ -362,89 +369,52 @@ pub fn error_from_wire(code: u16, message: String) -> CaError {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The rest of the payload as UTF-8 text.
+fn take_utf8(t: &mut Reader<'_>, what: &'static str) -> Result<String, ProtoError> {
+    String::from_utf8(t.rest().to_vec()).map_err(|_| ProtoError::Malformed(what))
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn take_cache_key(t: &mut Reader<'_>) -> Result<CacheKey, ProtoError> {
+    let fp = u128::from_le_bytes(t.array("cache key fingerprint")?);
+    let design = match t.u8("cache key design")? {
+        0 => Design::Performance,
+        1 => Design::Space,
+        _ => return Err(ProtoError::Malformed("cache key design tag")),
+    };
+    let slices = usize::try_from(t.u64("cache key slices")?)
+        .map_err(|_| ProtoError::Malformed("cache key slices exceeds usize"))?;
+    let seed = t.u64("cache key seed")?;
+    let optimized = match t.u8("cache key optimized")? {
+        0 => false,
+        1 => true,
+        _ => return Err(ProtoError::Malformed("cache key optimized flag")),
+    };
+    Ok(CacheKey { fingerprint: Fingerprint(fp), design, slices, seed, optimized })
 }
 
-/// Cursor over a frame payload with typed underrun errors.
-struct Take<'a> {
-    rest: &'a [u8],
+/// A `u32` element count, refused before any allocation when the payload
+/// cannot hold that many `item_bytes`-sized elements.
+fn take_count(
+    t: &mut Reader<'_>,
+    item_bytes: usize,
+    what: &'static str,
+) -> Result<usize, ProtoError> {
+    let count = t.u32(what)? as usize;
+    if t.remaining() / item_bytes < count {
+        return Err(ProtoError::Malformed(what));
+    }
+    Ok(count)
 }
 
-impl<'a> Take<'a> {
-    fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ProtoError> {
-        if self.rest.len() < n {
-            return Err(ProtoError::Malformed(what));
-        }
-        let (head, tail) = self.rest.split_at(n);
-        self.rest = tail;
-        Ok(head)
+fn take_events(t: &mut Reader<'_>) -> Result<Vec<MatchEvent>, ProtoError> {
+    let count = take_count(t, 12, "event count exceeds payload")?;
+    let mut events = Vec::with_capacity(count);
+    for _ in 0..count {
+        let pos = t.u64("event position")?;
+        let code = t.u32("event code")?;
+        events.push(MatchEvent::new(pos, ReportCode(code)));
     }
-
-    fn u16(&mut self, what: &'static str) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.bytes(2, what)?.try_into().expect("length checked")))
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.bytes(4, what)?.try_into().expect("length checked")))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.bytes(8, what)?.try_into().expect("length checked")))
-    }
-
-    fn utf8(&mut self, what: &'static str) -> Result<String, ProtoError> {
-        let bytes = std::mem::take(&mut self.rest);
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed(what))
-    }
-
-    fn cache_key(&mut self) -> Result<CacheKey, ProtoError> {
-        let fp =
-            u128::from_le_bytes(self.bytes(16, "cache key fingerprint")?.try_into().expect("16"));
-        let design = match self.bytes(1, "cache key design")?[0] {
-            0 => Design::Performance,
-            1 => Design::Space,
-            _ => return Err(ProtoError::Malformed("cache key design tag")),
-        };
-        let slices = self.u64("cache key slices")?;
-        let slices = usize::try_from(slices)
-            .map_err(|_| ProtoError::Malformed("cache key slices exceeds usize"))?;
-        let seed = self.u64("cache key seed")?;
-        let optimized = match self.bytes(1, "cache key optimized")?[0] {
-            0 => false,
-            1 => true,
-            _ => return Err(ProtoError::Malformed("cache key optimized flag")),
-        };
-        Ok(CacheKey { fingerprint: Fingerprint(fp), design, slices, seed, optimized })
-    }
-
-    fn events(&mut self) -> Result<Vec<MatchEvent>, ProtoError> {
-        let count = self.u32("event count")? as usize;
-        // 12 bytes per event; reject counts the payload cannot hold
-        // before allocating.
-        if self.rest.len() / 12 < count {
-            return Err(ProtoError::Malformed("event count exceeds payload"));
-        }
-        let mut events = Vec::with_capacity(count);
-        for _ in 0..count {
-            let pos = self.u64("event position")?;
-            let code = self.u32("event code")?;
-            events.push(MatchEvent::new(pos, ReportCode(code)));
-        }
-        Ok(events)
-    }
-
-    fn done(self, what: &'static str) -> Result<(), ProtoError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(ProtoError::Malformed(what))
-        }
-    }
+    Ok(events)
 }
 
 fn put_cache_key(buf: &mut Vec<u8>, key: &CacheKey) {
@@ -502,8 +472,8 @@ fn put_report(buf: &mut Vec<u8>, report: &WireReport) -> Result<(), ProtoError> 
     Ok(())
 }
 
-fn take_report(t: &mut Take<'_>) -> Result<WireReport, ProtoError> {
-    let events = t.events()?;
+fn take_report(t: &mut Reader<'_>) -> Result<WireReport, ProtoError> {
+    let events = take_events(t)?;
     let mut exec = ExecStats {
         symbols: t.u64("exec symbols")?,
         cycles: t.u64("exec cycles")?,
@@ -516,10 +486,7 @@ fn take_report(t: &mut Take<'_>) -> Result<WireReport, ProtoError> {
         fifo_refills: t.u64("exec fifo refills")?,
         per_partition_active: Vec::new(),
     };
-    let partitions = t.u32("partition count")? as usize;
-    if t.rest.len() / 8 < partitions {
-        return Err(ProtoError::Malformed("partition count exceeds payload"));
-    }
+    let partitions = take_count(t, 8, "partition count exceeds payload")?;
     exec.per_partition_active.reserve(partitions);
     for _ in 0..partitions {
         exec.per_partition_active.push(t.u64("partition activity")?);
@@ -551,6 +518,12 @@ impl Frame {
             Frame::CacheStatsReply(_) => kind::CACHE_STATS_REPLY,
             Frame::Error { .. } => kind::ERROR,
         }
+    }
+
+    /// Whether this is a client → server frame (kind byte in the 0x0_
+    /// range); replies and ERROR travel the other way.
+    pub(crate) fn is_request(&self) -> bool {
+        self.kind() < 0x80
     }
 
     /// Appends the complete encoded frame (header + payload) to `buf`.
@@ -667,22 +640,10 @@ impl Frame {
     /// authoritative the moment the header is complete — a garbage header
     /// is rejected without waiting for its announced payload.
     pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtoError> {
-        if buf.len() < HEADER_LEN {
+        let Some(header) = buf.first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        let payload_len =
-            u32::from_le_bytes(buf[0..4].try_into().expect("length checked")) as usize;
-        let version = buf[4];
-        let kind_byte = buf[5];
-        if version != PROTO_VERSION {
-            return Err(ProtoError::Version { got: version });
-        }
-        if payload_len > MAX_FRAME_PAYLOAD {
-            return Err(ProtoError::Oversized { len: payload_len as u64 });
-        }
-        if buf[6] != 0 || buf[7] != 0 {
-            return Err(ProtoError::Malformed("reserved header bytes must be zero"));
-        }
+        };
+        let (kind_byte, payload_len) = check_header(header)?;
         if buf.len() < HEADER_LEN + payload_len {
             return Ok(None);
         }
@@ -692,22 +653,22 @@ impl Frame {
     }
 
     fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
-        let mut t = Take { rest: payload };
+        let mut t = Reader::new(payload);
         let frame = match kind_byte {
             kind::OPEN_STREAM => Frame::OpenStream,
-            kind::FEED_CHUNK => Frame::FeedChunk {
-                stream: t.u64("feed stream id")?,
-                data: std::mem::take(&mut t.rest).to_vec(),
-            },
+            kind::FEED_CHUNK => {
+                Frame::FeedChunk { stream: t.u64("feed stream id")?, data: t.rest().to_vec() }
+            }
             kind::POLL_MATCHES => Frame::PollMatches { stream: t.u64("poll stream id")? },
             kind::FINISH => Frame::Finish { stream: t.u64("finish stream id")? },
             kind::STATS => Frame::Stats,
-            kind::RELOAD => Frame::Reload { rules: t.utf8("reload rules are not valid UTF-8")? },
-            kind::CACHE_GET => Frame::CacheGet { key: t.cache_key()? },
-            kind::CACHE_PUT => Frame::CachePut {
-                key: t.cache_key()?,
-                artifact: std::mem::take(&mut t.rest).to_vec(),
-            },
+            kind::RELOAD => {
+                Frame::Reload { rules: take_utf8(&mut t, "reload rules are not valid UTF-8")? }
+            }
+            kind::CACHE_GET => Frame::CacheGet { key: take_cache_key(&mut t)? },
+            kind::CACHE_PUT => {
+                Frame::CachePut { key: take_cache_key(&mut t)?, artifact: t.rest().to_vec() }
+            }
             kind::CACHE_STATS => Frame::CacheStats,
             kind::STREAM_OPENED => Frame::StreamOpened {
                 stream: t.u64("opened stream id")?,
@@ -717,7 +678,7 @@ impl Frame {
                 Frame::FeedAck { stream: t.u64("ack stream id")?, bytes: t.u64("ack bytes")? }
             }
             kind::MATCHES => {
-                Frame::Matches { stream: t.u64("matches stream id")?, events: t.events()? }
+                Frame::Matches { stream: t.u64("matches stream id")?, events: take_events(&mut t)? }
             }
             kind::FINISHED => {
                 let stream = t.u64("finished stream id")?;
@@ -732,9 +693,7 @@ impl Frame {
                 streams_served: t.u64("stats streams served")?,
             }),
             kind::RELOAD_OK => Frame::ReloadOk { generation: t.u64("reload generation")? },
-            kind::CACHE_FOUND => {
-                Frame::CacheFound { artifact: std::mem::take(&mut t.rest).to_vec() }
-            }
+            kind::CACHE_FOUND => Frame::CacheFound { artifact: t.rest().to_vec() },
             kind::CACHE_MISS => Frame::CacheMiss,
             kind::CACHE_PUT_OK => Frame::CachePutOk,
             kind::CACHE_STATS_REPLY => Frame::CacheStatsReply(CacheServerStats {
@@ -749,14 +708,32 @@ impl Frame {
             }),
             kind::ERROR => {
                 let code = t.u16("error code")?;
-                let message = t.utf8("error message is not valid UTF-8")?;
+                let message = take_utf8(&mut t, "error message is not valid UTF-8")?;
                 Frame::Error { code, message }
             }
             other => return Err(ProtoError::UnknownKind(other)),
         };
-        t.done("trailing bytes in frame payload")?;
+        if !t.is_empty() {
+            return Err(ProtoError::Malformed("trailing bytes in frame payload"));
+        }
         Ok(frame)
     }
+}
+
+/// Validates a frame header, returning its kind byte and payload length.
+/// The one header check behind [`Frame::decode`] and [`read_frame`].
+fn check_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize), ProtoError> {
+    let payload_len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    if header[4] != PROTO_VERSION {
+        return Err(ProtoError::Version { got: header[4] });
+    }
+    if payload_len > MAX_FRAME_PAYLOAD {
+        return Err(ProtoError::Oversized { len: payload_len as u64 });
+    }
+    if header[6] != 0 || header[7] != 0 {
+        return Err(ProtoError::Malformed("reserved header bytes must be zero"));
+    }
+    Ok((header[5], payload_len))
 }
 
 /// Writes one frame to `w` (unbuffered; wrap `w` in a `BufWriter` and
@@ -785,23 +762,14 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, CaError> {
     if !read_full(r, &mut header, true)? {
         return Ok(None);
     }
-    let payload_len = u32::from_le_bytes(header[0..4].try_into().expect("length checked")) as usize;
     // Validate the header before allocating or reading the payload, so an
     // oversized or alien frame is refused without consuming its bytes.
-    if header[4] != PROTO_VERSION {
-        return Err(ProtoError::Version { got: header[4] }.into());
-    }
-    if payload_len > MAX_FRAME_PAYLOAD {
-        return Err(ProtoError::Oversized { len: payload_len as u64 }.into());
-    }
-    if header[6] != 0 || header[7] != 0 {
-        return Err(ProtoError::Malformed("reserved header bytes must be zero").into());
-    }
+    let (kind_byte, payload_len) = check_header(&header)?;
     let mut payload = vec![0u8; payload_len];
     if !read_full(r, &mut payload, false)? {
         return Err(ProtoError::Truncated.into());
     }
-    Ok(Some(Frame::decode_payload(header[5], &payload)?))
+    Ok(Some(Frame::decode_payload(kind_byte, &payload)?))
 }
 
 /// Fills `buf` from `r`. Returns `Ok(false)` on EOF before the first byte

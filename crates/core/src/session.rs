@@ -17,6 +17,11 @@
 //! reusable buffer — no per-call allocation), and `finish` is fallible and
 //! returns the final [`RunReport`].
 //!
+//! Behind the trait, the stream state itself — suspend image, origin
+//! offset, events, delivery cursor, accumulated activity — and its
+//! `advance` / `finish` steps exist once, in this module's `SessionCore`,
+//! which both the scanner and the pool's per-stream record embed.
+//!
 //! # Examples
 //!
 //! Code written against the trait runs unchanged over a dedicated scanner
@@ -46,7 +51,121 @@
 //! # }
 //! ```
 
-use crate::{CaError, MatchEvent, RunReport};
+use crate::{CaError, MatchEvent, Program, RunReport};
+use ca_sim::fabric::{ExecStats, RunError, RunOptions, FIFO_REFILL_BYTES, PIPELINE_FILL_CYCLES};
+use ca_sim::{Fabric, Snapshot};
+
+/// The state of one logical stream between chunks — the paper's §2.9
+/// suspend/resume lifecycle, written once. A [`Scanner`](crate::Scanner)
+/// owns one next to its dedicated fabric; a [`ScanPool`](crate::ScanPool)
+/// keeps one per stream and lends it whichever fabric is free, which works
+/// because everything a stream carries from chunk to chunk lives here, in
+/// the suspend image, and not in the fabric.
+#[derive(Debug, Default)]
+pub(crate) struct SessionCore {
+    /// Suspend image after the last chunk (`None` before the first chunk
+    /// of a fresh stream).
+    resume: Option<Snapshot>,
+    /// Absolute stream offset the session started at (non-zero when it
+    /// continues a [`Snapshot`] of an earlier session).
+    origin: u64,
+    /// All match events so far, in feed order (absolute positions).
+    events: Vec<MatchEvent>,
+    /// How many of `events` have been handed out incrementally.
+    delivered: usize,
+    /// Accumulated activity counters (cycles are decided at finish).
+    stats: ExecStats,
+}
+
+impl SessionCore {
+    /// A session at the start of a fresh stream.
+    pub(crate) fn fresh() -> SessionCore {
+        SessionCore::default()
+    }
+
+    /// A session continuing the stream `snapshot` was taken from.
+    pub(crate) fn resumed(snapshot: Snapshot) -> SessionCore {
+        SessionCore {
+            origin: snapshot.symbol_counter,
+            resume: Some(snapshot),
+            ..Default::default()
+        }
+    }
+
+    /// Scans the next chunk on `fabric`, which may be any instance of the
+    /// stream's program: its state is overwritten from the suspend image.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError`] when the suspend image does not fit `fabric` — only
+    /// reachable with an image from another program.
+    pub(crate) fn advance(&mut self, fabric: &mut Fabric, chunk: &[u8]) -> Result<(), RunError> {
+        let options = RunOptions { resume: self.resume.take(), ..Default::default() };
+        let report = fabric.run_with(chunk, &options)?;
+        self.resume = report.snapshot;
+        self.events.extend(report.events);
+        self.stats.absorb_activity(&report.stats);
+        Ok(())
+    }
+
+    /// Splits off a session that continues from this one's suspend image,
+    /// so a batch can be scanned without holding whatever lock guards
+    /// `self`; [`absorb`](SessionCore::absorb) merges it back.
+    pub(crate) fn fork(&mut self) -> SessionCore {
+        SessionCore { resume: self.resume.take(), ..Default::default() }
+    }
+
+    /// Merges a [`fork`](SessionCore::fork) back after its batch ran.
+    pub(crate) fn absorb(&mut self, batch: SessionCore) {
+        self.resume = batch.resume;
+        self.events.extend(batch.events);
+        self.stats.absorb_activity(&batch.stats);
+    }
+
+    /// The current suspend image (`None` until the first chunk).
+    pub(crate) fn snapshot(&self) -> Option<&Snapshot> {
+        self.resume.as_ref()
+    }
+
+    /// All events so far, delivered or not.
+    pub(crate) fn events(&self) -> &[MatchEvent] {
+        &self.events
+    }
+
+    /// Events not yet handed out; marks them delivered.
+    pub(crate) fn undelivered(&mut self) -> &[MatchEvent] {
+        let fresh = &self.events[self.delivered..];
+        self.delivered = self.events.len();
+        fresh
+    }
+
+    /// Ends the session: renders the accumulated activity into whole-stream
+    /// stats and the final report with every match, sorted, deduplicated.
+    ///
+    /// Per-chunk runs each charged a pipeline fill and rounded their own
+    /// FIFO refills up; a logical stream pays the fill exactly once — at
+    /// its origin — and refills on absolute 64-byte boundaries. A session
+    /// resumed from a snapshot therefore charges *no* fill (its predecessor
+    /// already did) and counts only the refills between its entry offset
+    /// and its exit offset, so the stats of a split-and-resumed stream sum
+    /// to the monolithic scan's field by field.
+    pub(crate) fn finish(self, program: &Program) -> RunReport {
+        let mut stats = self.stats;
+        stats.cycles = match (stats.symbols, self.origin) {
+            (0, _) => 0,
+            (symbols, 0) => symbols + PIPELINE_FILL_CYCLES,
+            (symbols, _) => symbols,
+        };
+        let refill = FIFO_REFILL_BYTES as u64;
+        stats.fifo_refills =
+            (self.origin + stats.symbols).div_ceil(refill) - self.origin.div_ceil(refill);
+        let mut events = self.events;
+        events.sort_unstable();
+        events.dedup();
+        stats.emit_counters(&program.telemetry());
+        program.report_from(events, stats)
+    }
+}
 
 /// One logical scan stream: feed chunks, poll matches, finish.
 ///

@@ -44,13 +44,16 @@ use ca_sim::fabric::{ExecStats, RunOptions, OUTPUT_BUFFER_ENTRIES};
 use ca_sim::{Mask256, Snapshot};
 use ca_telemetry::SpanGuard;
 
+/// Smallest stripe [`Parallelism::Auto`] will create: below this the
+/// per-stripe thread and boundary stitch cost more than they save.
+const MIN_AUTO_STRIPE_BYTES: usize = 64 * 1024;
+
 /// How many fabric instances a parallel scan spreads the stream across.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum Parallelism {
     /// One stripe per available CPU, capped so every stripe is at least
-    /// [`ScanOptions::min_stripe_bytes`] long (short inputs degrade
-    /// gracefully to a serial scan).
+    /// 64 KiB long (short inputs degrade gracefully to a serial scan).
     #[default]
     Auto,
     /// Exactly this many stripes (clamped to one per input byte).
@@ -58,31 +61,9 @@ pub enum Parallelism {
     Threads(usize),
 }
 
-/// Tuning knobs for [`Program::run_with_options`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ScanOptions {
-    /// Stripe-count policy.
-    pub parallelism: Parallelism,
-    /// Smallest stripe [`Parallelism::Auto`] will create; ignored for
-    /// explicit [`Parallelism::Threads`]. Default 64 KiB.
-    pub min_stripe_bytes: usize,
-}
-
-impl Default for ScanOptions {
-    fn default() -> ScanOptions {
-        ScanOptions { parallelism: Parallelism::Auto, min_stripe_bytes: 64 * 1024 }
-    }
-}
-
-impl ScanOptions {
-    /// Options for a fixed stripe count.
-    pub fn threads(n: usize) -> ScanOptions {
-        ScanOptions { parallelism: Parallelism::Threads(n), ..Default::default() }
-    }
-
-    fn resolve_shards(&self, input_len: usize) -> Result<usize, CaError> {
-        let requested = match self.parallelism {
+impl Parallelism {
+    fn resolve_shards(self, input_len: usize) -> Result<usize, CaError> {
+        let requested = match self {
             Parallelism::Threads(0) => {
                 return Err(CaError::Config(
                     "Parallelism::Threads(0): a scan needs at least one thread".into(),
@@ -91,7 +72,7 @@ impl ScanOptions {
             Parallelism::Threads(n) => n,
             Parallelism::Auto => {
                 let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                cores.min(input_len / self.min_stripe_bytes.max(1)).max(1)
+                cores.min(input_len / MIN_AUTO_STRIPE_BYTES).max(1)
             }
         };
         Ok(requested.min(input_len).max(1))
@@ -135,21 +116,7 @@ impl Program {
         input: &[u8],
         parallelism: Parallelism,
     ) -> Result<RunReport, CaError> {
-        self.run_with_options(input, &ScanOptions { parallelism, ..Default::default() })
-    }
-
-    /// [`run_parallel`](Program::run_parallel) with explicit [`ScanOptions`].
-    ///
-    /// # Errors
-    ///
-    /// [`CaError::Config`] on a zero thread count; [`CaError::Internal`]
-    /// if a stripe thread panics.
-    pub fn run_with_options(
-        &self,
-        input: &[u8],
-        options: &ScanOptions,
-    ) -> Result<RunReport, CaError> {
-        let shards = options.resolve_shards(input.len())?;
+        let shards = parallelism.resolve_shards(input.len())?;
         if shards <= 1 {
             return Ok(self.run(input));
         }

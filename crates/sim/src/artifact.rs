@@ -25,6 +25,13 @@
 //! not implement, payloads whose checksum disagrees, and trailing bytes.
 //! Any change to the payload layout bumps the version; version 1 decoders
 //! never reinterpret bytes of a future version.
+//!
+//! The 24-byte header is not specific to bitstreams: [`seal`] writes it and
+//! [`unseal`] checks it for any (magic, version, two tag bytes, payload),
+//! and the program artifact (`CAPR`) that wraps this one is sealed by the
+//! same two functions. Likewise [`Reader`], [`put_u32`] and [`put_u64`] are
+//! the one bounds-checked little-endian cursor and writers behind both
+//! artifact payloads and the serving wire protocol.
 
 use crate::bitstream::{Bitstream, PartitionImage, Route, RouteVia};
 use crate::geometry::{CacheGeometry, DesignKind, PartitionLocation};
@@ -90,56 +97,195 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Appends `v` little-endian.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `v` little-endian.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn put_mask(out: &mut Vec<u8>, mask: &Mask256) {
     for w in mask.to_words() {
-        out.extend_from_slice(&w.to_le_bytes());
+        put_u64(out, w);
     }
 }
 
-/// Sequential reader over the payload with truncation-aware accessors.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
+/// A [`Reader`] ran past the end of its buffer; carries what was being
+/// read. Each format converts it into its own malformed-input error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Truncated(pub &'static str);
+
+impl From<Truncated> for ArtifactError {
+    fn from(t: Truncated) -> ArtifactError {
+        ArtifactError::Malformed(format!("truncated {}", t.0))
+    }
+}
+
+/// Bounds-checked little-endian cursor over a byte slice: the one reader
+/// behind the CAAR and CAPR payloads and the wire-frame payloads. Every
+/// accessor either consumes exactly what it returns or fails with
+/// [`Truncated`]; none can panic on short or hostile input.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, at: 0 }
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { rest: bytes }
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ArtifactError> {
-        let slice = self
-            .bytes
-            .get(self.at..self.at + n)
-            .ok_or_else(|| ArtifactError::Malformed(format!("truncated {what}")))?;
-        self.at += n;
-        Ok(slice)
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`Truncated`] (naming `what`) when fewer than `n` bytes remain.
+    #[inline]
+    pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], Truncated> {
+        if self.rest.len() < n {
+            return Err(Truncated(what));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, ArtifactError> {
+    /// The next `N` bytes as an array (feed it to `from_le_bytes`).
+    ///
+    /// # Errors
+    ///
+    /// [`Truncated`] when fewer than `N` bytes remain.
+    #[inline]
+    pub fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], Truncated> {
+        Ok(self.take(N, what)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// The next byte.
+    ///
+    /// # Errors
+    ///
+    /// [`Truncated`] at the end of the buffer.
+    #[inline]
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, Truncated> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, ArtifactError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
+    /// The next little-endian `u16`.
+    ///
+    /// # Errors
+    ///
+    /// [`Truncated`] when fewer than 2 bytes remain.
+    #[inline]
+    pub fn u16(&mut self, what: &'static str) -> Result<u16, Truncated> {
+        Ok(u16::from_le_bytes(self.array(what)?))
     }
 
-    fn mask(&mut self, what: &str) -> Result<Mask256, ArtifactError> {
-        let slice = self.take(32, what)?;
-        let mut words = [0u64; 4];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = u64::from_le_bytes(slice[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
-        }
-        Ok(Mask256::from_words(words))
+    /// The next little-endian `u32`.
+    ///
+    /// # Errors
+    ///
+    /// [`Truncated`] when fewer than 4 bytes remain.
+    #[inline]
+    pub fn u32(&mut self, what: &'static str) -> Result<u32, Truncated> {
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
+    /// The next little-endian `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`Truncated`] when fewer than 8 bytes remain.
+    #[inline]
+    pub fn u64(&mut self, what: &'static str) -> Result<u64, Truncated> {
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
+
+    /// Everything not yet consumed; the cursor is left empty.
+    #[inline]
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
+    /// Bytes not yet consumed.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// Whether every byte has been consumed.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+}
+
+fn read_mask(r: &mut Reader<'_>, what: &'static str) -> Result<Mask256, Truncated> {
+    let mut words = [0u64; 4];
+    for w in &mut words {
+        *w = r.u64(what)?;
+    }
+    Ok(Mask256::from_words(words))
+}
+
+/// Bytes of the sealed-container header that precedes every payload.
+pub const SEAL_HEADER_LEN: usize = 24;
+
+/// Wraps `payload` in the 24-byte sealed-container header both artifact
+/// formats share: `magic`, `version`, two format-defined `tag` bytes, the
+/// FNV-1a 64 checksum of the payload, and the payload length.
+pub fn seal(magic: &[u8; 4], version: u16, tag: [u8; 2], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(SEAL_HEADER_LEN + payload.len());
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&tag);
+    put_u64(&mut out, fnv1a_64(payload));
+    put_u64(&mut out, payload.len() as u64);
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Checks a container written by [`seal`] and returns its tag bytes and
+/// payload.
+///
+/// # Errors
+///
+/// [`ArtifactError::BadMagic`] unless `bytes` start with `magic`,
+/// [`ArtifactError::UnsupportedVersion`] for any version but `version`,
+/// [`ArtifactError::Malformed`] for a short header, a payload shorter than
+/// the header claims or trailing bytes, and
+/// [`ArtifactError::ChecksumMismatch`] when the payload was altered.
+pub fn unseal<'a>(
+    magic: &[u8; 4],
+    version: u16,
+    bytes: &'a [u8],
+) -> Result<([u8; 2], &'a [u8]), ArtifactError> {
+    let mut r = Reader::new(bytes);
+    if r.take(4, "magic").ok() != Some(magic.as_slice()) {
+        return Err(ArtifactError::BadMagic);
+    }
+    let found = r.u16("header")?;
+    if found != version {
+        return Err(ArtifactError::UnsupportedVersion(found));
+    }
+    let tag = r.array("header")?;
+    let stored = r.u64("header")?;
+    let len = usize::try_from(r.u64("header")?)
+        .map_err(|_| ArtifactError::Malformed("payload length exceeds usize".into()))?;
+    let payload = r.take(len, "payload (shorter than the header claims)")?;
+    if !r.is_empty() {
+        return Err(ArtifactError::Malformed("trailing bytes after payload".into()));
+    }
+    let computed = fnv1a_64(payload);
+    if computed != stored {
+        return Err(ArtifactError::ChecksumMismatch { stored, computed });
+    }
+    Ok((tag, payload))
 }
 
 fn encode_payload(bs: &Bitstream) -> Vec<u8> {
@@ -165,7 +311,7 @@ fn encode_payload(bs: &Bitstream) -> Vec<u8> {
         put_u32(&mut p, img.labels.len() as u32);
         for label in &img.labels {
             for w in label.to_bits() {
-                p.extend_from_slice(&w.to_le_bytes());
+                put_u64(&mut p, w);
             }
         }
         for row in &img.local {
@@ -197,11 +343,23 @@ fn encode_payload(bs: &Bitstream) -> Vec<u8> {
     p
 }
 
+/// A `u32` count of `what`, refused when it exceeds what the architecture
+/// allows — before anything is allocated or looped over on its say-so.
+fn bounded(r: &mut Reader<'_>, what: &'static str, max: usize) -> Result<usize, ArtifactError> {
+    let count = r.u32(what)? as usize;
+    if count > max {
+        return Err(ArtifactError::Malformed(format!(
+            "{count} {what} exceed the maximum of {max}"
+        )));
+    }
+    Ok(count)
+}
+
 fn decode_payload(design: DesignKind, payload: &[u8]) -> Result<Bitstream, ArtifactError> {
     let mut r = Reader::new(payload);
     let mut geo = [0usize; 8];
-    for (i, v) in geo.iter_mut().enumerate() {
-        *v = r.u32(&format!("geometry field {i}"))? as usize;
+    for v in &mut geo {
+        *v = r.u32("geometry field")? as usize;
     }
     let geometry = CacheGeometry {
         slices: geo[0],
@@ -214,15 +372,9 @@ fn decode_payload(design: DesignKind, payload: &[u8]) -> Result<Bitstream, Artif
         g4_ports: geo[7],
     };
     geometry.validate().map_err(ArtifactError::Malformed)?;
-    let n_partitions = r.u32("partition count")? as usize;
-    if n_partitions > geometry.total_partitions() {
-        return Err(ArtifactError::Malformed(format!(
-            "{n_partitions} partitions exceed the geometry's {}",
-            geometry.total_partitions()
-        )));
-    }
+    let n_partitions = bounded(&mut r, "partitions", geometry.total_partitions())?;
     let mut partitions = Vec::with_capacity(n_partitions);
-    for pi in 0..n_partitions {
+    for _ in 0..n_partitions {
         let mut loc = [0u32; 4];
         for v in loc.iter_mut() {
             *v = r.u32("location")?;
@@ -230,35 +382,20 @@ fn decode_payload(design: DesignKind, payload: &[u8]) -> Result<Bitstream, Artif
         let location =
             PartitionLocation { slice: loc[0], way: loc[1], subarray: loc[2], half: loc[3] };
         let mut img = PartitionImage::new(location);
-        let n_labels = r.u32("label count")? as usize;
-        if n_labels > crate::geometry::STES_PER_PARTITION {
-            return Err(ArtifactError::Malformed(format!(
-                "partition {pi} claims {n_labels} labels (max 256)"
-            )));
+        let n_labels = bounded(&mut r, "labels", crate::geometry::STES_PER_PARTITION)?;
+        for _ in 0..n_labels {
+            img.labels.push(CharClass::from_bits(read_mask(&mut r, "label")?.to_words()));
         }
         for _ in 0..n_labels {
-            img.labels.push(CharClass::from_bits(r.mask("label")?.to_words()));
+            img.local.push(read_mask(&mut r, "local-switch row")?);
         }
-        for _ in 0..n_labels {
-            img.local.push(r.mask("local-switch row")?);
-        }
-        let n_imports = r.u32("import count")? as usize;
-        if n_imports > geometry.g1_ports + geometry.g4_ports {
-            return Err(ArtifactError::Malformed(format!(
-                "partition {pi} claims {n_imports} import ports"
-            )));
-        }
+        let n_imports = bounded(&mut r, "import ports", geometry.g1_ports + geometry.g4_ports)?;
         for _ in 0..n_imports {
-            img.import_dest.push(r.mask("import row")?);
+            img.import_dest.push(read_mask(&mut r, "import row")?);
         }
-        img.start_all = r.mask("start-all vector")?;
-        img.start_sod = r.mask("start-of-data vector")?;
-        let n_reports = r.u32("report count")? as usize;
-        if n_reports > crate::geometry::STES_PER_PARTITION {
-            return Err(ArtifactError::Malformed(format!(
-                "partition {pi} claims {n_reports} reports"
-            )));
-        }
+        img.start_all = read_mask(&mut r, "start-all vector")?;
+        img.start_sod = read_mask(&mut r, "start-of-data vector")?;
+        let n_reports = bounded(&mut r, "reports", crate::geometry::STES_PER_PARTITION)?;
         for _ in 0..n_reports {
             let col = r.u8("report column")?;
             let code = r.u32("report code")?;
@@ -282,7 +419,7 @@ fn decode_payload(design: DesignKind, payload: &[u8]) -> Result<Bitstream, Artif
         let dst_port = r.u8("route destination port")?;
         routes.push(Route { src_partition, src_ste, via, dst_partition, dst_port });
     }
-    if !r.done() {
+    if !r.is_empty() {
         return Err(ArtifactError::Malformed("trailing bytes after route table".into()));
     }
     Ok(Bitstream { design, geometry, partitions, routes })
@@ -295,19 +432,11 @@ impl Bitstream {
     /// artifacts, so artifact bytes can be compared to prove that two
     /// compilations agree.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = encode_payload(self);
-        let mut out = Vec::with_capacity(24 + payload.len());
-        out.extend_from_slice(ARTIFACT_MAGIC);
-        out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-        out.push(match self.design {
+        let design_tag = match self.design {
             DesignKind::Performance => 0,
             DesignKind::Space => 1,
-        });
-        out.push(0); // reserved
-        out.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        };
+        seal(ARTIFACT_MAGIC, ARTIFACT_VERSION, [design_tag, 0], &encode_payload(self))
     }
 
     /// Decodes an artifact produced by [`Bitstream::encode`].
@@ -324,32 +453,12 @@ impl Bitstream {
     /// mismatch, malformed payload, or a payload that fails
     /// [`Bitstream::validate`].
     pub fn decode(bytes: &[u8]) -> Result<Bitstream, ArtifactError> {
-        if bytes.get(..4) != Some(ARTIFACT_MAGIC.as_slice()) {
-            return Err(ArtifactError::BadMagic);
-        }
-        let header =
-            bytes.get(4..24).ok_or_else(|| ArtifactError::Malformed("truncated header".into()))?;
-        let version = u16::from_le_bytes(header[0..2].try_into().expect("2 bytes"));
-        if version != ARTIFACT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion(version));
-        }
-        let design = match header[2] {
+        let (tag, payload) = unseal(ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes)?;
+        let design = match tag[0] {
             0 => DesignKind::Performance,
             1 => DesignKind::Space,
             other => return Err(ArtifactError::Malformed(format!("unknown design tag {other}"))),
         };
-        let stored = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes")) as usize;
-        let payload = bytes
-            .get(24..24 + len)
-            .ok_or_else(|| ArtifactError::Malformed("payload shorter than header claims".into()))?;
-        if bytes.len() != 24 + len {
-            return Err(ArtifactError::Malformed("trailing bytes after payload".into()));
-        }
-        let computed = fnv1a_64(payload);
-        if computed != stored {
-            return Err(ArtifactError::ChecksumMismatch { stored, computed });
-        }
         let bs = decode_payload(design, payload)?;
         bs.validate().map_err(|e| ArtifactError::Malformed(e.to_string()))?;
         Ok(bs)
@@ -466,15 +575,7 @@ mod tests {
         // report column must fail at load time, not mid-scan.
         let mut bs = sample();
         bs.partitions[0].reports.push((1, ReportCode(9)));
-        let payload = encode_payload(&bs);
-        let mut bytes = Vec::with_capacity(24 + payload.len());
-        bytes.extend_from_slice(ARTIFACT_MAGIC);
-        bytes.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-        bytes.push(1); // Space
-        bytes.push(0);
-        bytes.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let bytes = seal(ARTIFACT_MAGIC, ARTIFACT_VERSION, [1, 0], &encode_payload(&bs));
         let err = Bitstream::decode(&bytes).unwrap_err();
         match err {
             ArtifactError::Malformed(msg) => {

@@ -6,7 +6,7 @@
 
 use ca_telemetry::MemoryRecorder;
 use ca_workloads::{Benchmark, Scale};
-use cache_automaton::{CacheAutomaton, Design, Optimize, Parallelism, ScanOptions};
+use cache_automaton::{CacheAutomaton, Design, Optimize, Parallelism};
 use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -97,23 +97,6 @@ fn scanner_chunk_boundaries_landing_mid_match_are_invisible() {
             assert_eq!(report.exec, serial.exec, "{benchmark} chunk={chunk} stats");
         }
     }
-}
-
-#[test]
-fn scan_options_resolve_auto_and_explicit_paths() {
-    let w = Benchmark::Spm.build(Scale::tiny(), 43);
-    let input = w.input(8 * 1024, 29);
-    let program = CacheAutomaton::new().compile_nfa(&w.nfa).unwrap();
-    let serial = program.run(&input);
-    // Auto on an 8 KiB input (below the 64 KiB stripe floor) is serial.
-    let auto = program.run_parallel(&input, Parallelism::Auto).unwrap();
-    assert_eq!(auto.matches, serial.matches);
-    assert_eq!(auto.exec.cycles, serial.exec.cycles);
-    // Lowering the floor through ScanOptions turns sharding on.
-    let mut options = ScanOptions::default();
-    options.min_stripe_bytes = 1024;
-    let sharded = program.run_with_options(&input, &options).unwrap();
-    assert_eq!(sharded.matches, serial.matches);
 }
 
 #[test]
