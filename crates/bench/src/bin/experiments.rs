@@ -6,8 +6,7 @@
 //! experiments <target> [--scale F] [--kib N] [--seed N]
 //!
 //! targets: all | table1 | table2 | table3 | table4 | table5
-//!        | fig7 | fig8 | fig9 | fig10 | serving | serving-daemon
-//!        | warm-start | summary
+//!        | fig7 | fig8 | fig9 | fig10 | ablation | scaling | summary
 //! ```
 //!
 //! `--scale 1.0` (default) builds the paper-sized automata; `--kib` sets
@@ -67,9 +66,6 @@ fn main() {
             sections.push(ca_bench::ablation::ablation_stride(&config));
             sections.push(ca_bench::ablation::dfa_blowup(&config));
             sections.push(figures::scaling(&config));
-            sections.push(ca_bench::serving::multistream(&config));
-            sections.push(ca_bench::serving::daemon_throughput(&config));
-            sections.push(ca_bench::persist::warm_start(&config));
             sections.push(figures::summary(&results, &config));
         }
         "table1" => sections.push(tables::table1(&results)),
@@ -82,11 +78,6 @@ fn main() {
         "fig9" => sections.push(figures::fig9(&results)),
         "fig10" => sections.push(figures::fig10()),
         "scaling" => sections.push(figures::scaling(&config)),
-        "serving" | "multistream" => sections.push(ca_bench::serving::multistream(&config)),
-        "serving-daemon" | "daemon" => {
-            sections.push(ca_bench::serving::daemon_throughput(&config));
-        }
-        "warm-start" | "persist" => sections.push(ca_bench::persist::warm_start(&config)),
         "ablation" => {
             sections.push(ca_bench::ablation::ablation_packing(&config));
             sections.push(ca_bench::ablation::ablation_merging(&config));
@@ -97,7 +88,7 @@ fn main() {
         "summary" => sections.push(figures::summary(&results, &config)),
         other => {
             eprintln!(
-                "unknown target '{other}'; expected all|table1..table5|fig7..fig10|ablation|scaling|serving|serving-daemon|warm-start|summary"
+                "unknown target '{other}'; expected all|table1..table5|fig7..fig10|ablation|scaling|summary"
             );
             std::process::exit(2);
         }

@@ -18,8 +18,6 @@
 pub mod ablation;
 pub mod figures;
 pub mod markdown;
-pub mod persist;
-pub mod serving;
 pub mod suite;
 pub mod tables;
 

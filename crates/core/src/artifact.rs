@@ -136,13 +136,8 @@ fn decode_program(bytes: &[u8]) -> Result<Program, ArtifactError> {
             )));
         }
     }
-    let design = bitstream.design;
-    Ok(Program {
-        design,
-        timing: ca_sim::design_timing(design),
-        compiled: CompiledAutomaton { bitstream, stats, state_map },
-        telemetry: ca_telemetry::Telemetry::disabled(),
-    })
+    let compiled = CompiledAutomaton { bitstream, stats, state_map };
+    Ok(Program::new(compiled, ca_telemetry::Telemetry::disabled()))
 }
 
 impl Program {
@@ -152,7 +147,8 @@ impl Program {
     /// round-trip through [`Program::from_bytes`] re-encodes to the same
     /// bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let stats = &self.compiled.stats;
+        let compiled = self.compiled();
+        let stats = &compiled.stats;
         let mut payload = Vec::new();
         for v in [
             stats.states,
@@ -168,12 +164,12 @@ impl Program {
             put_u64(&mut payload, v as u64);
         }
         put_u64(&mut payload, stats.seed);
-        put_u32(&mut payload, self.compiled.state_map.len() as u32);
-        for &(pid, col) in &self.compiled.state_map {
+        put_u32(&mut payload, compiled.state_map.len() as u32);
+        for &(pid, col) in &compiled.state_map {
             put_u32(&mut payload, pid);
             payload.push(col);
         }
-        let blob = self.compiled.bitstream.encode();
+        let blob = compiled.bitstream.encode();
         put_u64(&mut payload, blob.len() as u64);
         payload.extend_from_slice(&blob);
         seal(PROGRAM_ARTIFACT_MAGIC, PROGRAM_ARTIFACT_VERSION, [0, 0], &payload)

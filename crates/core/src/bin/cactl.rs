@@ -22,8 +22,8 @@
 //!
 //! `mux` scans every input file (or FIFO) as an independent logical
 //! stream through one ScanPool: streams are read incrementally, fed
-//! concurrently, and multiplexed over `--workers` threads sharing a
-//! bounded pool of recycled fabric instances.
+//! concurrently, and multiplexed over `--workers` threads, each scanning
+//! on its own fabric instance over the program's one shared table set.
 //!
 //! `compile --out` writes a versioned program artifact (.capr); `run
 //! --program` loads one instead of compiling, so compilation and scanning
@@ -363,18 +363,14 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
             };
             let input = read_input(input_path)?;
             let report = if let Some(trace_path) = opts.get("--trace") {
-                // per-cycle trace alongside the scan
-                let mut fabric = program.compiled().fabric().map_err(|e| io_err(trace_path, e))?;
+                // one scan, writing the per-cycle trace alongside
                 let file = std::fs::File::create(trace_path).map_err(|e| io_err(trace_path, e))?;
                 let mut sink = std::io::BufWriter::new(file);
-                let exec = fabric
-                    .run_traced(&input, &ca_sim::RunOptions::default(), &mut sink)
-                    .map_err(|e| io_err(trace_path, e))?;
+                let report =
+                    program.run_traced(&input, &mut sink).map_err(|e| io_err(trace_path, e))?;
+                std::io::Write::flush(&mut sink).map_err(|e| io_err(trace_path, e))?;
                 let _ = writeln!(out, "cycle trace written  : {trace_path}");
-                // reuse the architectural reporting path for consistency
-                let mut r = program.run(&input);
-                r.matches = exec.events;
-                r
+                report
             } else if let Some(parallelism) = shards {
                 // sharded parallel scan: stripes on concurrent fabric
                 // instances, stitched into a serial-identical match list
@@ -416,7 +412,7 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
             let started = std::time::Instant::now();
             // One feeder thread per input: each reads its file (or FIFO)
             // incrementally and feeds its own logical stream; the pool
-            // multiplexes the scans over the shared workers and fabrics.
+            // multiplexes the scans over the shared workers.
             let results: Vec<_> = std::thread::scope(|scope| {
                 let feeders: Vec<_> = inputs
                     .iter()

@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 pub mod artifact;
 pub mod cache;
@@ -526,7 +526,7 @@ impl CacheAutomaton {
         if let Some(mut hit) = self.cache.lock().expect("program cache poisoned").get(&key) {
             // the stored program carries the telemetry of whoever compiled
             // it; the caller gets their own handle
-            hit.telemetry = self.telemetry.clone();
+            hit.set_telemetry(self.telemetry.clone());
             return Ok(hit);
         }
         let owned;
@@ -537,56 +537,76 @@ impl CacheAutomaton {
             nfa
         };
         let compiled = ca_compiler::compile_with_telemetry(source, &self.options, &self.telemetry)?;
-        let program = Program {
-            design: self.options.design,
-            timing: ca_sim::design_timing(self.options.design),
-            compiled,
-            telemetry: self.telemetry.clone(),
-        };
+        let program = Program::new(compiled, self.telemetry.clone());
         self.cache.lock().expect("program cache poisoned").insert(key, program.clone());
         Ok(program)
     }
 }
 
 /// A compiled, loadable automaton program.
+///
+/// Like the hardware, a program is *configured once*: the compiled image
+/// and the fabric lookup tables built from it (at the first scan) exist
+/// once per program and are shared by reference. Cloning a program —
+/// which a cache hit, [`ScanPool::new`], [`replicate`](Program::replicate)
+/// and every daemon generation do — bumps a reference count; the only
+/// thing a clone owns is its telemetry handle.
 #[must_use = "compiling a program is expensive; run or scan it"]
 #[derive(Debug, Clone)]
 pub struct Program {
-    design: Design,
-    timing: PipelineTiming,
-    compiled: CompiledAutomaton,
+    image: Arc<Image>,
     telemetry: Telemetry,
 }
 
+/// The immutable part of a [`Program`], shared by all of its clones.
+#[derive(Debug)]
+struct Image {
+    design: Design,
+    timing: PipelineTiming,
+    compiled: CompiledAutomaton,
+    /// The fabric whose lookup tables every scan of this program shares.
+    /// Built by the first scan, not at compile or load time, so obtaining
+    /// a program never pays for tables it may not use.
+    template: OnceLock<ca_sim::Fabric>,
+}
+
 impl Program {
+    /// Wraps a compiled image; scans report to `telemetry`.
+    pub(crate) fn new(compiled: CompiledAutomaton, telemetry: Telemetry) -> Program {
+        let design = compiled.bitstream.design;
+        let timing = ca_sim::design_timing(design);
+        let image = Image { design, timing, compiled, template: OnceLock::new() };
+        Program { image: Arc::new(image), telemetry }
+    }
+
     /// The design point the program was compiled for.
     pub fn design(&self) -> Design {
-        self.design
+        self.image.design
     }
 
     /// Mapping statistics (partitions, utilization, routes).
     pub fn stats(&self) -> &MappingStats {
-        &self.compiled.stats
+        &self.image.compiled.stats
     }
 
     /// The underlying compiled image.
     pub fn compiled(&self) -> &CompiledAutomaton {
-        &self.compiled
+        &self.image.compiled
     }
 
     /// Resolved pipeline timing of the design point.
     pub fn timing(&self) -> &PipelineTiming {
-        &self.timing
+        &self.image.timing
     }
 
     /// Cache space the program occupies, in MB (Figure 8's metric).
     pub fn utilization_mb(&self) -> f64 {
-        self.compiled.stats.utilization_mb()
+        self.stats().utilization_mb()
     }
 
     /// Deterministic scan throughput, Gbit/s (one symbol per cycle).
     pub fn throughput_gbps(&self) -> f64 {
-        self.timing.throughput_gbps()
+        self.image.timing.throughput_gbps()
     }
 
     /// Scans `input` as one chunk and returns the report.
@@ -599,6 +619,25 @@ impl Program {
         let mut scanner = self.scanner();
         scanner.feed(input);
         scanner.finish()
+    }
+
+    /// Like [`run`](Program::run), additionally writing a per-cycle text
+    /// trace to `sink` — one line per input symbol, see
+    /// [`ca_sim::Fabric::run_traced`]. Matches and activity statistics
+    /// equal [`run`](Program::run)'s.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures from `sink`.
+    pub fn run_traced<W: std::io::Write>(
+        &self,
+        input: &[u8],
+        sink: &mut W,
+    ) -> std::io::Result<RunReport> {
+        let mut session = session::SessionCore::fresh();
+        let options = ca_sim::RunOptions::default();
+        session.record(self.fabric().run_traced(input, &options, sink)?);
+        Ok(session.finish(self))
     }
 
     /// Opens a streaming scan session at the start of a fresh stream.
@@ -615,7 +654,7 @@ impl Program {
     /// different partition count — resuming it here would scramble the
     /// active-state vectors.
     pub fn resume_scanner(&self, snapshot: Snapshot) -> Result<Scanner<'_>, CaError> {
-        let partitions = self.compiled.bitstream.partitions.len();
+        let partitions = self.compiled().bitstream.partitions.len();
         if snapshot.active_vectors.len() != partitions {
             return Err(CaError::Config(format!(
                 "resume snapshot carries {} active vectors but this program drives {} \
@@ -642,9 +681,15 @@ impl Program {
         self.telemetry.clone()
     }
 
-    /// A fresh fabric instance for this program's bitstream.
+    /// A fabric instance for this program: per-stream scratch over the
+    /// program's one shared table set, reporting to this handle's
+    /// telemetry. The first call on any clone builds the tables.
     pub(crate) fn fabric(&self) -> ca_sim::Fabric {
-        let mut fabric = self.compiled.fabric().expect("compiled bitstream is valid");
+        let template = self
+            .image
+            .template
+            .get_or_init(|| self.image.compiled.fabric().expect("compiled bitstream is valid"));
+        let mut fabric = template.clone();
         fabric.set_telemetry(self.telemetry.clone());
         fabric
     }
@@ -652,10 +697,10 @@ impl Program {
     /// Renders raw fabric activity into a [`RunReport`] using this
     /// program's design point (energy model, operating clock).
     pub(crate) fn report_from(&self, matches: Vec<MatchEvent>, exec: ExecStats) -> RunReport {
-        let freq = self.timing.operating_freq_ghz();
-        let energy =
-            ca_sim::energy_report(&exec, self.design, &ca_sim::EnergyParams::default(), freq);
-        let simulated_seconds = exec.cycles as f64 * self.timing.operating_clock_ps() * 1e-12;
+        let Image { design, timing, .. } = &*self.image;
+        let freq = timing.operating_freq_ghz();
+        let energy = ca_sim::energy_report(&exec, *design, &ca_sim::EnergyParams::default(), freq);
+        let simulated_seconds = exec.cycles as f64 * timing.operating_clock_ps() * 1e-12;
         RunReport { matches, exec, energy, simulated_seconds }
     }
 
@@ -663,8 +708,8 @@ impl Program {
     /// can hold (the paper: "space savings can be directly translated to
     /// speedup by matching against multiple NFA instances", §5.2).
     pub fn max_instances(&self) -> usize {
-        let total = self.compiled.bitstream.geometry.total_partitions();
-        let used = self.compiled.stats.partitions_used.max(1);
+        let total = self.compiled().bitstream.geometry.total_partitions();
+        let used = self.stats().partitions_used.max(1);
         (total / used).max(1)
     }
 
@@ -679,8 +724,8 @@ impl Program {
         let max = self.max_instances();
         if instances == 0 || instances > max {
             return Err(CaError::Compile(CompileError::CapacityExceeded {
-                needed: instances * self.compiled.stats.partitions_used,
-                available: self.compiled.bitstream.geometry.total_partitions(),
+                needed: instances * self.stats().partitions_used,
+                available: self.compiled().bitstream.geometry.total_partitions(),
             }));
         }
         Ok(MultiProgram { program: self.clone(), instances })
@@ -885,6 +930,74 @@ mod tests {
         let err = multi.run_streams(&[b"a", b"b"]).unwrap_err();
         assert!(matches!(err, CaError::Config(_)));
         assert!(err.to_string().contains("exceed"));
+    }
+
+    #[test]
+    fn clones_and_memory_hits_share_one_image_and_one_table_set() {
+        let ca = CacheAutomaton::new();
+        let program = ca.compile_patterns(&["shared", "image"]).unwrap();
+        let hit = ca.compile_patterns(&["shared", "image"]).unwrap();
+        assert_eq!(ca.cache_stats().hits, 1);
+        assert!(Arc::ptr_eq(&program.image, &hit.image), "a memory-tier hit copies nothing");
+        assert!(Arc::ptr_eq(&program.image, &program.clone().image));
+        let replicated = program.replicate(2).unwrap();
+        assert!(Arc::ptr_eq(&program.image, &replicated.program().image));
+        // Compiling, hitting and cloning build no tables; the first fabric
+        // does, once, for every handle on the image.
+        assert!(program.image.template.get().is_none(), "tables are built lazily");
+        let (first, second) = (program.fabric(), hit.fabric());
+        assert!(first.shares_tables(&second));
+        assert!(first.shares_tables(&replicated.program().fabric()));
+    }
+
+    #[test]
+    fn racing_first_scans_all_return_the_serial_report() {
+        let patterns = ["needle", "na+il", "x[0-9]{3}y"];
+        let input = b"xxneedle naaail x123y needlenail x12y".repeat(20);
+        let serial = CacheAutomaton::new().compile_patterns(&patterns).unwrap().run(&input);
+        assert!(!serial.matches.is_empty());
+        // A program no scan has touched: the eight threads race its first
+        // table build.
+        let fresh = CacheAutomaton::new().compile_patterns(&patterns).unwrap();
+        assert!(fresh.image.template.get().is_none());
+        let barrier = std::sync::Barrier::new(8);
+        let reports: Vec<RunReport> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        fresh.run(&input)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().expect("racer")).collect()
+        });
+        for report in reports {
+            assert_eq!(report.matches, serial.matches);
+            assert_eq!(report.exec, serial.exec);
+        }
+    }
+
+    #[test]
+    fn traced_run_reports_what_run_reports() {
+        // One 400-state pattern cannot fit a 256-STE partition, so the
+        // program is routed across partitions.
+        let program = CacheAutomaton::new().compile_patterns(&["ab{400}c", "bbc"]).unwrap();
+        assert!(program.stats().partitions_used > 1);
+        assert!(program.stats().g1_routes + program.stats().g4_routes > 0);
+        let mut input = b"zab".to_vec();
+        input.extend(std::iter::repeat_n(b'b', 399));
+        input.extend_from_slice(b"c abbc");
+        let plain = program.run(&input);
+        assert!(plain.matches.len() >= 3 && plain.exec.g1_signals + plain.exec.g4_signals > 0);
+        let mut sink = Vec::new();
+        let traced = program.run_traced(&input, &mut sink).unwrap();
+        assert_eq!(traced.matches, plain.matches);
+        assert_eq!(traced.exec, plain.exec);
+        assert_eq!(traced.simulated_seconds, plain.simulated_seconds);
+        assert_eq!(String::from_utf8(sink).unwrap().lines().count(), input.len());
+        // and it scanned on the program's shared tables
+        assert!(program.image.template.get().is_some());
     }
 
     #[test]

@@ -228,6 +228,14 @@ mod tests {
     }
 
     #[test]
+    fn sessions_scan_on_the_programs_shared_tables() {
+        let program = program();
+        let (first, second) = (program.scanner(), program.scanner());
+        assert!(first.fabric.shares_tables(&second.fabric));
+        assert!(first.fabric.shares_tables(&program.clone().fabric()));
+    }
+
+    #[test]
     fn empty_session_reports_zero_work() {
         let program = program();
         let report = program.scanner().finish();

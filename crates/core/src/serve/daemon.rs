@@ -5,7 +5,8 @@
 //! own thread speaking the length-prefixed wire protocol of
 //! [`proto`](super::proto), and each OPEN_STREAM maps onto one pool
 //! stream, so thousands of concurrent network streams multiplex over a
-//! handful of worker threads and recycled fabrics.
+//! handful of worker threads, each scanning on its own fabric over the
+//! program's one shared table set.
 //!
 //! # Backpressure
 //!
@@ -21,14 +22,14 @@
 //! # Hot program reload
 //!
 //! A RELOAD frame compiles a replacement rule set and atomically swaps
-//! the daemon's *generation* — an [`Arc`] holding a [`Program`] and the
-//! [`ScanPool`] bound to it. Streams opened after the swap bind the new
-//! generation; streams in flight keep their `Arc` to the old one and
-//! drain on the program they started with, so no traffic is dropped and
-//! no stream ever sees two rule sets. The old generation's pool (workers,
-//! fabrics) is torn down when its last stream finishes. Reload traffic is
-//! observable as `serve.reload.*` telemetry and the generation counter in
-//! STATS replies.
+//! the daemon's *generation* — an [`Arc`] holding a [`Program`] (itself a
+//! reference to one shared compiled image) and the [`ScanPool`] bound to
+//! it. Streams opened after the swap bind the new generation; streams in
+//! flight keep their `Arc` to the old one and drain on the program they
+//! started with, so no traffic is dropped and no stream ever sees two rule
+//! sets. The old generation's pool (workers and their fabrics) is torn
+//! down when its last stream finishes. Reload traffic is observable as
+//! `serve.reload.*` telemetry and the generation counter in STATS replies.
 //!
 //! # Examples
 //!
@@ -408,8 +409,8 @@ impl ClientOptions {
 }
 
 /// A synchronous client of a serving daemon: one connection, blocking
-/// request/reply per call. Used by `cactl connect`, the soak tests, and
-/// the `serving-daemon` experiment — and small enough to crib for real
+/// request/reply per call. Used by `cactl connect`, the soak tests and
+/// `cabench`'s serve pass — and small enough to crib for real
 /// integrations.
 pub struct Client {
     reader: BufReader<Conn>,

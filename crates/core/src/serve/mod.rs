@@ -1,4 +1,4 @@
-//! Multi-stream scan service: many logical streams over few fabrics.
+//! Multi-stream scan service: many logical streams over few workers.
 //!
 //! Everything built below the serving layer scans *one* stream per call —
 //! [`Program::run`], [`Scanner`](crate::Scanner) sessions, the sharded
@@ -8,12 +8,12 @@
 //!
 //! - **M streams over N workers.** Clients open any number of
 //!   [`StreamHandle`]s; a fixed set of worker threads services them.
-//! - **A bounded pool of recycled fabrics.** At most
-//!   [`PoolOptions::max_fabrics`] [`Fabric`] instances ever exist; between
-//!   batches a stream's state lives in its compact
-//!   [`Snapshot`](ca_sim::Snapshot) (paper §2.9), so a fabric serves one
-//!   stream's batch, is [`reset`](Fabric::reset), and moves on to any
-//!   other stream.
+//! - **One fabric per worker, one table set per program.** Each worker
+//!   owns a [`Fabric`] — per-stream scratch over the lookup tables every
+//!   scan of the [`Program`] shares — for its whole life. Between batches a
+//!   stream's state lives in its compact [`Snapshot`](ca_sim::Snapshot)
+//!   (paper §2.9), so a worker's fabric serves one stream's batch and
+//!   moves on to any other stream.
 //! - **Bounded queues with backpressure.** [`StreamHandle::feed`] blocks
 //!   once [`PoolOptions::queue_bytes`] are buffered, so a fast producer
 //!   cannot balloon memory.
@@ -22,8 +22,8 @@
 //!   so a hot stream with a deep queue cannot starve the others.
 //! - **Typed errors, no cross-thread panics.** A worker panic is caught,
 //!   converted to [`CaError::Internal`] on the stream that hit it, and the
-//!   (possibly corrupt) fabric is discarded rather than recycled; every
-//!   other stream keeps running.
+//!   worker replaces its (possibly corrupt) fabric before the next batch;
+//!   every other stream keeps running.
 //!
 //! Per-stream results are exact: the matches and
 //! [`ExecStats`](ca_sim::ExecStats) a stream observes are bit-identical to
@@ -70,9 +70,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 pub struct PoolOptions {
     /// Worker threads servicing stream batches. Must be at least 1.
     pub workers: usize,
-    /// Upper bound on live [`Fabric`] instances; `0` means "same as
-    /// `workers`" (more than `workers` can never run simultaneously).
-    pub max_fabrics: usize,
     /// Per-stream buffered-byte bound; [`StreamHandle::feed`] blocks while
     /// a stream already holds this much unprocessed input.
     pub queue_bytes: usize,
@@ -84,7 +81,7 @@ pub struct PoolOptions {
 
 impl Default for PoolOptions {
     fn default() -> PoolOptions {
-        PoolOptions { workers: 1, max_fabrics: 0, queue_bytes: 1 << 20, quantum: 64 << 10 }
+        PoolOptions { workers: 1, queue_bytes: 1 << 20, quantum: 64 << 10 }
     }
 }
 
@@ -120,16 +117,14 @@ struct StreamState {
     error: Option<CaError>,
 }
 
-/// Pool state behind one mutex: streams, the DRR ring, the fabric pool.
+/// Pool state behind one mutex: streams and the DRR ring.
 #[derive(Debug, Default)]
 struct Inner {
     streams: BTreeMap<u64, StreamState>,
     /// Stream ids with queued work, in service order (the DRR ring).
     ready: VecDeque<u64>,
-    /// Recycled fabric instances awaiting a batch.
-    idle_fabrics: Vec<Fabric>,
-    /// Fabrics in existence (idle + in use); bounded by `max_fabrics`.
-    fabrics_created: usize,
+    /// Workers scanning a batch right now (the occupancy gauge).
+    scanning: usize,
     next_id: u64,
     mode: Mode,
 }
@@ -137,10 +132,9 @@ struct Inner {
 struct Shared {
     program: Program,
     telemetry: Telemetry,
-    /// As given, except `max_fabrics` is resolved (never 0).
     options: PoolOptions,
     inner: Mutex<Inner>,
-    /// Wakes workers: ready work, a freed fabric, or a mode change.
+    /// Wakes workers: ready work or a mode change.
     work_cv: Condvar,
     /// Wakes feeders blocked on a full stream queue.
     space_cv: Condvar,
@@ -166,8 +160,7 @@ impl Shared {
             return;
         }
         self.telemetry.gauge("serve.live_streams", 0, inner.streams.len() as f64);
-        let in_use = inner.fabrics_created - inner.idle_fabrics.len();
-        self.telemetry.gauge("serve.pool_occupancy", 0, in_use as f64);
+        self.telemetry.gauge("serve.pool_occupancy", 0, inner.scanning as f64);
     }
 }
 
@@ -188,7 +181,7 @@ impl std::fmt::Debug for ScanPool {
         f.debug_struct("ScanPool")
             .field("workers", &self.workers.len())
             .field("live_streams", &inner.streams.len())
-            .field("fabrics_created", &inner.fabrics_created)
+            .field("scanning", &inner.scanning)
             .field("mode", &inner.mode)
             .finish()
     }
@@ -211,12 +204,10 @@ impl ScanPool {
                 "scan pool queue_bytes and quantum must be non-zero".into(),
             ));
         }
-        let max_fabrics =
-            if options.max_fabrics == 0 { options.workers } else { options.max_fabrics };
         let shared = Arc::new(Shared {
             program: program.clone(),
             telemetry: program.telemetry(),
-            options: PoolOptions { max_fabrics, ..options },
+            options,
             inner: Mutex::default(),
             work_cv: Condvar::new(),
             space_cv: Condvar::new(),
@@ -510,22 +501,20 @@ impl Drop for StreamHandle {
 }
 
 fn worker_loop(shared: &Shared) {
+    // This worker's fabric: scratch over the program's shared tables,
+    // cloned at the first batch and kept for the thread's lifetime.
+    let mut own_fabric: Option<Fabric> = None;
     let mut inner = shared.lock();
     loop {
-        // Wait for a serviceable stream: ready work plus an available (or
-        // creatable) fabric — or an exit condition.
+        // Wait for ready work — or an exit condition.
         let id = loop {
             match inner.mode {
                 Mode::Aborted => return,
                 Mode::Draining if inner.ready.is_empty() => return,
                 _ => {}
             }
-            let fabric_available = !inner.idle_fabrics.is_empty()
-                || inner.fabrics_created < shared.options.max_fabrics;
-            if fabric_available {
-                if let Some(id) = inner.ready.pop_front() {
-                    break id;
-                }
+            if let Some(id) = inner.ready.pop_front() {
+                break id;
             }
             inner = shared.wait(&shared.work_cv, inner);
         };
@@ -560,45 +549,32 @@ fn worker_loop(shared: &Shared) {
         }
         stream.running = true;
         let mut session = stream.core.fork();
-
-        // Claim a fabric: recycle an idle one or mint a new instance under
-        // the bound (reserved inside the lock, built outside it).
-        let pooled = inner.idle_fabrics.pop();
-        if pooled.is_none() {
-            inner.fabrics_created += 1;
-        }
+        inner.scanning += 1;
         shared.emit_pool_gauges(&inner);
         drop(inner);
 
-        let mut fabric = pooled.unwrap_or_else(|| shared.program.fabric());
+        let fabric = own_fabric.get_or_insert_with(|| shared.program.fabric());
         shared.telemetry.gauge("serve.batch_size", id, batch_bytes as f64);
 
         // Run the batch with panic containment: a panicking scan must not
-        // take down the pool, and the fabric that hit it may hold corrupt
-        // scratch, so it is discarded instead of recycled.
+        // take down the pool. State rides in the stream's snapshot, not the
+        // fabric, so the same instance then serves *any* stream — unless
+        // the batch panicked: that fabric may hold corrupt scratch and is
+        // never reused; the next batch clones a fresh one.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             for chunk in &batch {
-                session.advance(&mut fabric, chunk).map_err(|e| {
+                session.advance(fabric, chunk).map_err(|e| {
                     CaError::Internal(format!("pooled fabric rejected its own snapshot: {e}"))
                 })?;
             }
             Ok(session)
         }));
-
-        // State rides in the stream's snapshot, not the fabric, so after a
-        // cheap scratch reset the instance is recycled for *any* stream —
-        // unless the batch panicked, which forfeits it.
-        let recycle = outcome.is_ok();
-        if recycle {
-            fabric.reset();
+        if outcome.is_err() {
+            own_fabric = None;
         }
 
         inner = shared.lock();
-        if recycle {
-            inner.idle_fabrics.push(fabric);
-        } else {
-            inner.fabrics_created -= 1;
-        }
+        inner.scanning -= 1;
         let inner_mut = &mut *inner;
         if let Some(stream) = inner_mut.streams.get_mut(&id) {
             stream.running = false;
@@ -621,8 +597,8 @@ fn worker_loop(shared: &Shared) {
             }
         }
         shared.emit_pool_gauges(&inner);
-        // A fabric went back to the pool and queue space opened up:
-        // everyone gets a look.
+        // The stream may be ready again, queue space opened up and its
+        // finisher may be waiting: everyone gets a look.
         shared.work_cv.notify_all();
         shared.space_cv.notify_all();
         shared.done_cv.notify_all();

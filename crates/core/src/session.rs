@@ -52,7 +52,9 @@
 //! ```
 
 use crate::{CaError, MatchEvent, Program, RunReport};
-use ca_sim::fabric::{ExecStats, RunError, RunOptions, FIFO_REFILL_BYTES, PIPELINE_FILL_CYCLES};
+use ca_sim::fabric::{
+    ExecReport, ExecStats, RunError, RunOptions, FIFO_REFILL_BYTES, PIPELINE_FILL_CYCLES,
+};
 use ca_sim::{Fabric, Snapshot};
 
 /// The state of one logical stream between chunks — the paper's §2.9
@@ -101,11 +103,16 @@ impl SessionCore {
     /// reachable with an image from another program.
     pub(crate) fn advance(&mut self, fabric: &mut Fabric, chunk: &[u8]) -> Result<(), RunError> {
         let options = RunOptions { resume: self.resume.take(), ..Default::default() };
-        let report = fabric.run_with(chunk, &options)?;
+        self.record(fabric.run_with(chunk, &options)?);
+        Ok(())
+    }
+
+    /// Folds the fabric's report on the stream's next chunk into the
+    /// session.
+    pub(crate) fn record(&mut self, report: ExecReport) {
         self.resume = report.snapshot;
         self.events.extend(report.events);
         self.stats.absorb_activity(&report.stats);
-        Ok(())
     }
 
     /// Splits off a session that continues from this one's suspend image,

@@ -12,18 +12,30 @@
 //! pipeline in the cycle count: `cycles = symbols + fill`.
 //!
 //! The hot loop is *activity-proportional*, mirroring the sparsity the
-//! hardware exploits (§5.3: idle arrays are clock/precharge-gated): an
-//! exact worklist of partitions with a non-zero active vector is carried
-//! across the `enabled`/`next` swap, so each symbol costs
-//! O(active partitions + matched routes) instead of O(partitions + routes).
+//! hardware exploits (§5.3: idle arrays are clock/precharge-gated). Arming
+//! is implicit: an idle partition holds exactly its always-armed start
+//! vector and is never visited, so the loop keeps a *hot set* of the
+//! partitions whose vector differs from that baseline and each symbol
+//! visits it merged with the precomputed partitions whose start states can
+//! match that symbol — O(hot + start-matching partitions + matched routes)
+//! instead of O(partitions + routes), with a sequential sweep of every
+//! partition once the visit list would cover a third of the fabric.
 //! [`Fabric::run_dense`] keeps the original O(P+R) loop as the reference
 //! implementation for differential tests and benchmarks.
+//!
+//! As in the hardware, an automaton is *configured once*: the lookup
+//! tables [`Fabric::new`] compiles from a bitstream are immutable and
+//! shared by reference between every clone of that fabric. All a clone
+//! owns is per-stream scratch — what §2.9 writes out on suspend (the
+//! active-state vectors) plus the hot-set bookkeeping — so cloning costs
+//! O(partitions + report codes), not a copy of the configuration.
 
 use crate::bitstream::{Bitstream, BitstreamError, Route, RouteVia};
 use crate::mask::Mask256;
 use ca_automata::engine::MatchEvent;
 use ca_automata::ReportCode;
 use ca_telemetry::Telemetry;
+use std::sync::Arc;
 
 /// Depth of the CBOX input FIFO (entries = symbols).
 pub const INPUT_FIFO_ENTRIES: usize = 128;
@@ -116,8 +128,6 @@ impl ExecStats {
     /// `cycles` is deliberately **not** summed: how per-run cycle counts
     /// combine is a scheduling question (sequential chunks add, concurrent
     /// stripes take a makespan), so the caller sets `cycles` explicitly.
-    /// The old `absorb` summed cycles too and relied on every concurrent
-    /// caller remembering to overwrite the result — that footgun is gone.
     pub fn absorb_activity(&mut self, other: &ExecStats) {
         self.symbols += other.symbols;
         self.active_partition_cycles += other.active_partition_cycles;
@@ -284,6 +294,30 @@ impl std::error::Error for RunError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fabric {
+    tables: Arc<Tables>,
+    telemetry: Telemetry,
+    scratch: Scratch,
+}
+
+/// Everything a fabric instance owns for itself. Invariants between runs:
+/// `next` all-zero, `on_next` all false, every `code_epoch` stamp strictly
+/// below `epoch + 1`.
+#[derive(Debug, Clone)]
+struct Scratch {
+    enabled: Vec<Mask256>,
+    next: Vec<Mask256>,
+    active: Vec<u32>,
+    touched: Vec<u32>,
+    visit: Vec<u32>,
+    on_next: Vec<bool>,
+    code_epoch: Vec<u64>,
+    epoch: u64,
+}
+
+/// The read-only configuration of one bitstream, compiled by
+/// [`Fabric::new`] and shared by every clone of the fabric it returns.
+#[derive(Debug)]
+struct Tables {
     /// Per-partition 256-row SRAM images: `rows[p][symbol]`.
     rows: Vec<Vec<Mask256>>,
     /// Per-partition per-STE local destinations.
@@ -312,33 +346,202 @@ pub struct Fabric {
     /// work on a symbol listed here, which is what lets the hot loop skip
     /// it entirely on every other symbol.
     start_candidates: Vec<Vec<u32>>,
-    telemetry: Telemetry,
-    // Scratch. Invariants between runs: `next` all-zero, `on_next` all
-    // false, every `code_epoch` stamp strictly below `epoch + 1`.
-    enabled: Vec<Mask256>,
-    next: Vec<Mask256>,
-    active: Vec<u32>,
-    touched: Vec<u32>,
-    visit: Vec<u32>,
-    on_next: Vec<bool>,
-    code_epoch: Vec<u64>,
-    epoch: u64,
 }
 
-/// Per-run mutable state threaded through [`Fabric::scan_partition`], so
-/// the sparse and sweep walks share one body without a ten-argument
-/// signature.
-struct ScanCtx<'a> {
-    options: &'a RunOptions,
-    stats: &'a mut ExecStats,
-    events: &'a mut Vec<MatchEvent>,
-    entries: &'a mut Vec<OutputEntry>,
-    touched: &'a mut Vec<u32>,
-    output_buffer_fill: &'a mut usize,
+impl Tables {
+    /// Rejects an image whose vector count is not this fabric's partition
+    /// count (a suspend image taken from another program).
+    fn check_shape(&self, image: &Snapshot) -> Result<(), RunError> {
+        if image.active_vectors.len() == self.rows.len() {
+            return Ok(());
+        }
+        Err(RunError::SnapshotMismatch {
+            snapshot_vectors: image.active_vectors.len(),
+            fabric_partitions: self.rows.len(),
+        })
+    }
+}
+
+/// One run's accumulating outputs: opened by [`Scratch::enter`], threaded
+/// through [`Scratch::scan_partition`], closed by [`Scratch::exit`].
+struct Run {
+    collect_entries: bool,
+    /// Symbol counter at entry (non-zero when resuming).
+    base_counter: u64,
+    output_buffer_fill: usize,
+    stats: ExecStats,
+    events: Vec<MatchEvent>,
+    entries: Vec<OutputEntry>,
+    /// Partitions whose `next` received a transition this cycle (the
+    /// fabric's scratch list, on loan for the run).
+    touched: Vec<u32>,
+}
+
+impl Run {
+    /// One activity-snapshot gauge batch at stream position `pos`.
+    fn emit_snapshot(&self, telemetry: &Telemetry, pos: u64, active_partitions: u64) {
+        let gauge = |name, value: u64| telemetry.gauge(name, pos, value as f64);
+        gauge("fabric.active_partitions", active_partitions);
+        gauge("fabric.g1_signals", self.stats.g1_signals);
+        gauge("fabric.g4_signals", self.stats.g4_signals);
+        // Cumulative from the stream origin (`pos`, not the chunk offset):
+        // a chunked session's refill gauge keeps climbing across feed()
+        // boundaries instead of re-zeroing under a monotone x-axis.
+        gauge("fabric.fifo_refills", pos / FIFO_REFILL_BYTES as u64);
+        gauge("fabric.output_buffer_fill", self.output_buffer_fill as u64);
+    }
+}
+
+/// Merges two ascending partition lists into `out`, ascending and
+/// deduplicated — a cycle's visit list.
+#[inline]
+fn merge_ascending(out: &mut Vec<u32>, a: &[u32], b: &[u32]) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+impl Scratch {
+    /// Opens a run: loads the entry image into `enabled` — a resume image,
+    /// or the start-of-data plus all-input vectors for a fresh stream —
+    /// and returns the run's empty accumulators.
+    fn enter(&mut self, t: &Tables, options: &RunOptions) -> Result<Run, RunError> {
+        let (base_counter, output_buffer_fill) = match &options.resume {
+            Some(snapshot) => {
+                t.check_shape(snapshot)?;
+                self.enabled.copy_from_slice(&snapshot.active_vectors);
+                (snapshot.symbol_counter, snapshot.output_buffer_fill as usize)
+            }
+            None => {
+                for (p, vector) in self.enabled.iter_mut().enumerate() {
+                    *vector = t.start_sod[p].or(&t.start_all[p]);
+                }
+                (0, 0)
+            }
+        };
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        Ok(Run {
+            collect_entries: options.collect_entries,
+            base_counter,
+            output_buffer_fill,
+            stats: ExecStats { per_partition_active: vec![0; t.rows.len()], ..Default::default() },
+            events: Vec::new(),
+            entries: Vec::new(),
+            touched,
+        })
+    }
+
+    /// Closes a run over `processed` symbols: whole-run counters and the
+    /// exit image.
+    fn exit(&mut self, run: Run, processed: usize) -> ExecReport {
+        self.touched = run.touched;
+        let mut stats = run.stats;
+        stats.symbols = processed as u64;
+        stats.cycles = if processed == 0 { 0 } else { processed as u64 + PIPELINE_FILL_CYCLES };
+        stats.fifo_refills = processed.div_ceil(FIFO_REFILL_BYTES) as u64;
+        let snapshot = Snapshot {
+            symbol_counter: run.base_counter + processed as u64,
+            active_vectors: self.enabled.clone(),
+            output_buffer_fill: run.output_buffer_fill as u32,
+        };
+        ExecReport { events: run.events, stats, entries: run.entries, snapshot: Some(snapshot) }
+    }
+
+    /// One partition's phases 1–3 for one cycle: state-match, report
+    /// extraction, local switch, then the global routes sourced at this
+    /// partition — reusing the match vector the dense loop recomputed
+    /// once per route. Shared verbatim by the sparse visit walk and the
+    /// sequential sweep so both modes are trivially identical.
+    /// `RECORD_TOUCH` compiles the touch-list bookkeeping in or out: the
+    /// sparse walk needs `touched`/`on_next` to rebuild the hot list, the
+    /// sequential sweep rebuilds it from a full materialize pass instead
+    /// and skips the flags entirely.
+    #[inline(always)]
+    fn scan_partition<const RECORD_TOUCH: bool>(
+        &mut self,
+        t: &Tables,
+        run: &mut Run,
+        p: usize,
+        symbol: u8,
+        pos: u64,
+        epoch: u64,
+    ) {
+        let matched = self.enabled[p].and(&t.rows[p][symbol as usize]);
+        if matched.is_zero() {
+            return;
+        }
+        run.stats.matched_total += matched.count() as u64;
+        // reports
+        let reporting = matched.and(&t.report_mask[p]);
+        for col in reporting.iter() {
+            let (code, code_idx) = t.report_code[p][col as usize];
+            if run.collect_entries {
+                run.entries.push(OutputEntry {
+                    partition: p as u32,
+                    column: col,
+                    symbol,
+                    symbol_counter: pos,
+                    code,
+                });
+            }
+            if self.code_epoch[code_idx as usize] != epoch {
+                self.code_epoch[code_idx as usize] = epoch;
+                run.events.push(MatchEvent::new(pos, code));
+                run.stats.reports += 1;
+                run.output_buffer_fill += 1;
+                if run.output_buffer_fill >= OUTPUT_BUFFER_ENTRIES {
+                    run.stats.output_interrupts += 1;
+                    run.output_buffer_fill = 0;
+                }
+            }
+        }
+        // local switch (zero rows neither change `next` nor may mark the
+        // partition touched — the touch list stays exact)
+        for s in matched.iter() {
+            let row = &t.local[p][s as usize];
+            if !row.is_zero() {
+                self.next[p].or_assign(row);
+                if RECORD_TOUCH && !self.on_next[p] {
+                    self.on_next[p] = true;
+                    run.touched.push(p as u32);
+                }
+            }
+        }
+        // global-switch routes sourced at this partition
+        for &ri in &t.routes_by_src[p] {
+            let r = &t.routes[ri as usize];
+            if !matched.get(r.src_ste) {
+                continue;
+            }
+            match r.via {
+                RouteVia::G1 => run.stats.g1_signals += 1,
+                RouteVia::G4 => run.stats.g4_signals += 1,
+            }
+            let dst = r.dst_partition as usize;
+            let dest_mask = t.import_dest[dst][r.dst_port as usize];
+            if !dest_mask.is_zero() {
+                self.next[dst].or_assign(&dest_mask);
+                if RECORD_TOUCH && !self.on_next[dst] {
+                    self.on_next[dst] = true;
+                    run.touched.push(r.dst_partition);
+                }
+            }
+        }
+    }
 }
 
 impl Fabric {
-    /// Validates and compiles a bitstream for execution.
+    /// Validates a bitstream and compiles its lookup tables — the only
+    /// place they are built. Further instances for the same bitstream are
+    /// clones of this one: they share the tables and own only scratch.
     ///
     /// # Errors
     ///
@@ -393,7 +596,7 @@ impl Fabric {
                 }
             }
         }
-        Ok(Fabric {
+        let tables = Tables {
             rows,
             local,
             import_dest,
@@ -405,7 +608,8 @@ impl Fabric {
             routes_by_src,
             armed,
             start_candidates,
-            telemetry: Telemetry::disabled(),
+        };
+        let scratch = Scratch {
             enabled: vec![Mask256::ZERO; n],
             next: vec![Mask256::ZERO; n],
             active: Vec::with_capacity(n),
@@ -414,12 +618,19 @@ impl Fabric {
             on_next: vec![false; n],
             code_epoch: vec![0; code_set.len()],
             epoch: 0,
-        })
+        };
+        Ok(Fabric { tables: Arc::new(tables), telemetry: Telemetry::disabled(), scratch })
     }
 
     /// Number of partitions the fabric drives.
     pub fn partition_count(&self) -> usize {
-        self.rows.len()
+        self.tables.rows.len()
+    }
+
+    /// Whether `other` scans over the very table set this instance does —
+    /// true exactly for clones descending from one [`Fabric::new`].
+    pub fn shares_tables(&self, other: &Fabric) -> bool {
+        Arc::ptr_eq(&self.tables, &other.tables)
     }
 
     /// Routes activity snapshots (a gauge batch every
@@ -455,15 +666,15 @@ impl Fabric {
         sink: &mut W,
     ) -> std::io::Result<ExecReport> {
         // Trace by re-simulating cycle windows of 1 symbol: simple, slow,
-        // and guaranteed consistent with run_with (which it reuses).
-        let mut resume = options.resume.clone();
-        let mut combined = ExecReport::default();
-        let base = resume.as_ref().map_or(0, |s| s.symbol_counter);
+        // and guaranteed consistent with run_with (which it reuses). The
+        // zero-length run validates the resume image and yields the report
+        // an empty input must return: entry image, zeroed counters.
+        let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
+        let mut combined = self.run_with(&[], options).map_err(invalid)?;
+        let base = combined.snapshot.as_ref().map_or(0, |s| s.symbol_counter);
         for (i, &symbol) in input.iter().enumerate() {
-            let step_opts = RunOptions { resume: resume.take(), collect_entries: true };
-            let step = self
-                .run_with(std::slice::from_ref(&symbol), &step_opts)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+            let step_opts = RunOptions { resume: combined.snapshot.take(), collect_entries: true };
+            let step = self.run_with(std::slice::from_ref(&symbol), &step_opts).map_err(invalid)?;
             let printable = if symbol.is_ascii_graphic() { symbol as char } else { '.' };
             write!(sink, "cycle {:>6} sym 0x{symbol:02x} '{printable}' |", base + i as u64)?;
             for (p, &n) in step.stats.per_partition_active.iter().enumerate() {
@@ -478,107 +689,21 @@ impl Fabric {
                 }
             }
             writeln!(sink)?;
-            // accumulate activity; cycles and refills are recomputed below
-            // for the whole stream (the per-step values double-charge fill
-            // and round refills up per single-symbol window).
-            combined.events.extend(step.events.iter().copied());
+            combined.events.extend(step.events);
             if options.collect_entries {
-                combined.entries.extend(step.entries.iter().copied());
+                combined.entries.extend(step.entries);
             }
-            let mut step_stats = step.stats;
-            step_stats.fifo_refills = 0;
-            combined.stats.absorb_activity(&step_stats);
-            resume = step.snapshot;
-            combined.snapshot = resume.clone();
+            combined.stats.absorb_activity(&step.stats);
+            combined.snapshot = step.snapshot;
         }
-        combined.stats.cycles = if combined.stats.symbols == 0 {
-            0
-        } else {
-            combined.stats.symbols + PIPELINE_FILL_CYCLES
-        };
+        // Cycles and refills are whole-stream quantities: the per-step
+        // values charge the pipeline fill and round refills up once per
+        // single-symbol window.
+        if !input.is_empty() {
+            combined.stats.cycles = combined.stats.symbols + PIPELINE_FILL_CYCLES;
+        }
         combined.stats.fifo_refills = input.len().div_ceil(FIFO_REFILL_BYTES) as u64;
         Ok(combined)
-    }
-
-    /// One partition's phases 1–3 for one cycle: state-match, report
-    /// extraction, local switch, then the global routes sourced at this
-    /// partition — reusing the match vector the dense loop recomputed
-    /// once per route. Shared verbatim by the sparse visit walk and the
-    /// sequential sweep so both modes are trivially identical.
-    /// `RECORD_TOUCH` compiles the touch-list bookkeeping in or out: the
-    /// sparse walk needs `touched`/`on_next` to rebuild the hot list, the
-    /// sequential sweep rebuilds it from a full materialize pass instead
-    /// and skips the flags entirely.
-    #[inline(always)]
-    fn scan_partition<const RECORD_TOUCH: bool>(
-        &mut self,
-        ctx: &mut ScanCtx<'_>,
-        p: usize,
-        symbol: u8,
-        pos: u64,
-        epoch: u64,
-    ) {
-        let matched = self.enabled[p].and(&self.rows[p][symbol as usize]);
-        if matched.is_zero() {
-            return;
-        }
-        ctx.stats.matched_total += matched.count() as u64;
-        // reports
-        let reporting = matched.and(&self.report_mask[p]);
-        for col in reporting.iter() {
-            let (code, code_idx) = self.report_code[p][col as usize];
-            if ctx.options.collect_entries {
-                ctx.entries.push(OutputEntry {
-                    partition: p as u32,
-                    column: col,
-                    symbol,
-                    symbol_counter: pos,
-                    code,
-                });
-            }
-            if self.code_epoch[code_idx as usize] != epoch {
-                self.code_epoch[code_idx as usize] = epoch;
-                ctx.events.push(MatchEvent::new(pos, code));
-                ctx.stats.reports += 1;
-                *ctx.output_buffer_fill += 1;
-                if *ctx.output_buffer_fill >= OUTPUT_BUFFER_ENTRIES {
-                    ctx.stats.output_interrupts += 1;
-                    *ctx.output_buffer_fill = 0;
-                }
-            }
-        }
-        // local switch (zero rows neither change `next` nor may mark the
-        // partition touched — the touch list stays exact)
-        for s in matched.iter() {
-            let row = &self.local[p][s as usize];
-            if !row.is_zero() {
-                self.next[p].or_assign(row);
-                if RECORD_TOUCH && !self.on_next[p] {
-                    self.on_next[p] = true;
-                    ctx.touched.push(p as u32);
-                }
-            }
-        }
-        // global-switch routes sourced at this partition
-        for &ri in &self.routes_by_src[p] {
-            let r = &self.routes[ri as usize];
-            if !matched.get(r.src_ste) {
-                continue;
-            }
-            match r.via {
-                RouteVia::G1 => ctx.stats.g1_signals += 1,
-                RouteVia::G4 => ctx.stats.g4_signals += 1,
-            }
-            let dst = r.dst_partition as usize;
-            let dest_mask = self.import_dest[dst][r.dst_port as usize];
-            if !dest_mask.is_zero() {
-                self.next[dst].or_assign(&dest_mask);
-                if RECORD_TOUCH && !self.on_next[dst] {
-                    self.on_next[dst] = true;
-                    ctx.touched.push(r.dst_partition);
-                }
-            }
-        }
     }
 
     /// Runs the fabric with explicit [`RunOptions`] (resume, output-entry
@@ -610,33 +735,10 @@ impl Fabric {
     /// [`RunError::SnapshotMismatch`] if a resume snapshot's vector count
     /// does not match this fabric's partition count.
     pub fn run_with(&mut self, input: &[u8], options: &RunOptions) -> Result<ExecReport, RunError> {
-        let n = self.partition_count();
-        let mut stats = ExecStats { per_partition_active: vec![0; n], ..Default::default() };
-        let mut events = Vec::new();
-        let mut entries = Vec::new();
-        let mut output_buffer_fill =
-            options.resume.as_ref().map_or(0, |s| s.output_buffer_fill) as usize;
-
-        // Initialize active-state vectors: a resume image, or the
-        // start-of-data plus all-input vectors for a fresh stream.
-        let base_counter = match &options.resume {
-            Some(snapshot) => {
-                if snapshot.active_vectors.len() != n {
-                    return Err(RunError::SnapshotMismatch {
-                        snapshot_vectors: snapshot.active_vectors.len(),
-                        fabric_partitions: n,
-                    });
-                }
-                self.enabled.copy_from_slice(&snapshot.active_vectors);
-                snapshot.symbol_counter
-            }
-            None => {
-                for p in 0..n {
-                    self.enabled[p] = self.start_sod[p].or(&self.start_all[p]);
-                }
-                0
-            }
-        };
+        let Fabric { tables, telemetry, scratch } = self;
+        let t: &Tables = tables;
+        let n = t.rows.len();
+        let mut run = scratch.enter(t, options)?;
 
         // Build the entry hot list with the run's single O(n) scan: every
         // partition whose vector differs from its baseline (`start_all`).
@@ -646,22 +748,20 @@ impl Fabric {
         // resuming with an all-zero vector (a hand-built image): they are
         // hot but *inactive* on the entry cycle, which the analytic
         // activity accounting below must discount.
-        let mut active = std::mem::take(&mut self.active);
-        let mut touched = std::mem::take(&mut self.touched);
-        let mut visit = std::mem::take(&mut self.visit);
+        let mut active = std::mem::take(&mut scratch.active);
+        let mut visit = std::mem::take(&mut scratch.visit);
         active.clear();
-        touched.clear();
         let mut entry_deficit: Vec<u32> = Vec::new();
-        for (p, vector) in self.enabled.iter().enumerate() {
-            if *vector != self.start_all[p] {
+        for (p, vector) in scratch.enabled.iter().enumerate() {
+            if *vector != t.start_all[p] {
                 active.push(p as u32);
                 if vector.is_zero() {
                     entry_deficit.push(p as u32);
                 }
             }
         }
-        let armed_count = self.armed.len() as u64;
-        let has_unarmed = self.armed.len() < n;
+        let armed_count = t.armed.len() as u64;
+        let has_unarmed = t.armed.len() < n;
         // True while `next` holds a sweep cycle's superseded vectors
         // instead of all-zero scratch.
         let mut next_dirty = false;
@@ -669,7 +769,7 @@ impl Fabric {
         let processed = input.len();
         // Hoisted so the disabled path pays one predictable branch per
         // symbol and never reaches the snapshot arithmetic.
-        let telemetry_on = self.telemetry.is_enabled();
+        let telemetry_on = telemetry.is_enabled();
         for (rel_pos, &symbol) in input.iter().enumerate() {
             // Activity accounting, analytically. A partition is active
             // (non-zero vector) this cycle iff it is armed — baseline
@@ -682,33 +782,21 @@ impl Fabric {
             if has_unarmed {
                 for &pu in &active {
                     let p = pu as usize;
-                    if self.start_all[p].is_zero() {
+                    if t.start_all[p].is_zero() {
                         hot_unarmed += 1;
-                        stats.per_partition_active[p] += 1;
+                        run.stats.per_partition_active[p] += 1;
                     }
                 }
             }
             let deficit = if rel_pos == 0 { entry_deficit.len() as u64 } else { 0 };
             let cycle_active = armed_count + hot_unarmed - deficit;
-            stats.active_partition_cycles += cycle_active;
-            let pos = base_counter + rel_pos as u64;
+            run.stats.active_partition_cycles += cycle_active;
+            let pos = run.base_counter + rel_pos as u64;
             if telemetry_on && pos.is_multiple_of(TELEMETRY_SNAPSHOT_INTERVAL) {
-                self.telemetry.gauge("fabric.active_partitions", pos, cycle_active as f64);
-                self.telemetry.gauge("fabric.g1_signals", pos, stats.g1_signals as f64);
-                self.telemetry.gauge("fabric.g4_signals", pos, stats.g4_signals as f64);
-                // Cumulative from the stream origin (`pos`, not `rel_pos`):
-                // a chunked session's refill gauge keeps climbing across
-                // feed() boundaries instead of re-zeroing under a monotone
-                // x-axis.
-                self.telemetry.gauge(
-                    "fabric.fifo_refills",
-                    pos,
-                    (pos / FIFO_REFILL_BYTES as u64) as f64,
-                );
-                self.telemetry.gauge("fabric.output_buffer_fill", pos, output_buffer_fill as f64);
+                run.emit_snapshot(telemetry, pos, cycle_active);
             }
-            self.epoch += 1;
-            let epoch = self.epoch;
+            scratch.epoch += 1;
+            let epoch = scratch.epoch;
             // The cycle's visit list: the hot partitions merged (sorted,
             // deduplicated) with the idle-armed partitions whose start
             // states can match this symbol. Any partition outside the
@@ -722,7 +810,7 @@ impl Fabric {
             // the sweep is just as exact. Either way partitions are
             // visited ascending — the dense loop's iteration order, so
             // events and entries come out identically.
-            let candidates: &[u32] = &self.start_candidates[symbol as usize];
+            let candidates: &[u32] = &t.start_candidates[symbol as usize];
             // Hysteresis: entering sweep mode is cheap, leaving it
             // costs an O(n) re-zero of `next` — so only drop back to the
             // sparse walk once coverage falls to half the entry bar.
@@ -736,40 +824,31 @@ impl Fabric {
                 // superseded vectors — the dirty flag below makes the
                 // next sparse cycle (or the run exit) restore the
                 // all-zero scratch invariant.
-                self.next.copy_from_slice(&self.start_all);
+                scratch.next.copy_from_slice(&t.start_all);
                 next_dirty = true;
-            } else if next_dirty {
-                for m in &mut self.next {
-                    *m = Mask256::ZERO;
+                for p in 0..n {
+                    scratch.scan_partition::<false>(t, &mut run, p, symbol, pos, epoch);
                 }
+                // The baseline prefill means an untouched partition's
+                // `next` already IS its fallback state, so the swap
+                // materializes everything at once; one streaming compare
+                // pass rebuilds the hot list in ascending order.
+                std::mem::swap(&mut scratch.enabled, &mut scratch.next);
+                active.clear();
+                for p in 0..n {
+                    if scratch.enabled[p] != t.start_all[p] {
+                        active.push(p as u32);
+                    }
+                }
+                continue;
+            }
+            if next_dirty {
+                scratch.next.fill(Mask256::ZERO);
                 next_dirty = false;
             }
-            let mut ctx = ScanCtx {
-                options,
-                stats: &mut stats,
-                events: &mut events,
-                entries: &mut entries,
-                touched: &mut touched,
-                output_buffer_fill: &mut output_buffer_fill,
-            };
-            if sweep {
-                for p in 0..n {
-                    self.scan_partition::<false>(&mut ctx, p, symbol, pos, epoch);
-                }
-            } else {
-                visit.clear();
-                let (mut i, mut j) = (0, 0);
-                while i < active.len() && j < candidates.len() {
-                    let (a, c) = (active[i], candidates[j]);
-                    visit.push(a.min(c));
-                    i += usize::from(a <= c);
-                    j += usize::from(c <= a);
-                }
-                visit.extend_from_slice(&active[i..]);
-                visit.extend_from_slice(&candidates[j..]);
-                for &pu in &visit {
-                    self.scan_partition::<true>(&mut ctx, pu as usize, symbol, pos, epoch);
-                }
+            merge_ascending(&mut visit, &active, candidates);
+            for &pu in &visit {
+                scratch.scan_partition::<true>(t, &mut run, pu as usize, symbol, pos, epoch);
             }
             // End of cycle. Hot partitions that received no transition
             // fall back to their baseline (idle again); touched partitions
@@ -778,72 +857,47 @@ impl Fabric {
             // differs from their baseline. No full-array swap: `enabled`
             // always holds complete absolute state, so snapshots stay
             // exact.
-            if sweep {
-                // The baseline prefill means an untouched partition's
-                // `next` already IS its fallback state, so the swap
-                // materializes everything at once; one streaming compare
-                // pass rebuilds the hot list in ascending order.
-                std::mem::swap(&mut self.enabled, &mut self.next);
-                active.clear();
-                for p in 0..n {
-                    if self.enabled[p] != self.start_all[p] {
-                        active.push(p as u32);
-                    }
-                }
-            } else {
-                for &pu in &active {
-                    let p = pu as usize;
-                    if !self.on_next[p] {
-                        self.enabled[p] = self.start_all[p];
-                    }
-                }
-                active.clear();
-                // The touch list, sorted, keeps the hot list ascending.
-                touched.sort_unstable();
-                for &pu in &touched {
-                    let p = pu as usize;
-                    self.on_next[p] = false;
-                    let baseline = self.start_all[p];
-                    let full = self.next[p].or(&baseline);
-                    self.enabled[p] = full;
-                    self.next[p] = Mask256::ZERO;
-                    if full != baseline {
-                        active.push(pu);
-                    }
+            for &pu in &active {
+                let p = pu as usize;
+                if !scratch.on_next[p] {
+                    scratch.enabled[p] = t.start_all[p];
                 }
             }
-            touched.clear();
-        }
-        if next_dirty {
-            // The final cycle was a sweep: `next` still holds its
-            // superseded vectors. Restore the all-zero scratch invariant.
-            for m in &mut self.next {
-                *m = Mask256::ZERO;
+            active.clear();
+            // The touch list, sorted, keeps the hot list ascending.
+            run.touched.sort_unstable();
+            for &pu in &run.touched {
+                let p = pu as usize;
+                scratch.on_next[p] = false;
+                let baseline = t.start_all[p];
+                let full = scratch.next[p].or(&baseline);
+                scratch.enabled[p] = full;
+                scratch.next[p] = Mask256::ZERO;
+                if full != baseline {
+                    active.push(pu);
+                }
             }
+            run.touched.clear();
         }
         // Armed partitions are active on every processed cycle (their
         // vector always covers `start_all` once the stream is underway) —
         // fold that in once, minus the entry-cycle deficit counted above.
         if processed > 0 {
-            for &pu in &self.armed {
-                stats.per_partition_active[pu as usize] += processed as u64;
+            for &pu in &t.armed {
+                run.stats.per_partition_active[pu as usize] += processed as u64;
             }
             for &pu in &entry_deficit {
-                stats.per_partition_active[pu as usize] -= 1;
+                run.stats.per_partition_active[pu as usize] -= 1;
             }
         }
-        self.active = active;
-        self.touched = touched;
-        self.visit = visit;
-        stats.symbols = processed as u64;
-        stats.cycles = if processed == 0 { 0 } else { processed as u64 + PIPELINE_FILL_CYCLES };
-        stats.fifo_refills = processed.div_ceil(FIFO_REFILL_BYTES) as u64;
-        let snapshot = Snapshot {
-            symbol_counter: base_counter + input.len() as u64,
-            active_vectors: self.enabled.clone(),
-            output_buffer_fill: output_buffer_fill as u32,
-        };
-        Ok(ExecReport { events, stats, entries, snapshot: Some(snapshot) })
+        if next_dirty {
+            // The final cycle was a sweep: `next` still holds its
+            // superseded vectors. Restore the all-zero scratch invariant.
+            scratch.next.fill(Mask256::ZERO);
+        }
+        scratch.active = active;
+        scratch.visit = visit;
+        Ok(scratch.exit(run, processed))
     }
 
     /// The original dense O(partitions + routes) per-symbol loop, kept as
@@ -861,69 +915,38 @@ impl Fabric {
         input: &[u8],
         options: &RunOptions,
     ) -> Result<ExecReport, RunError> {
-        let n = self.partition_count();
-        let mut stats = ExecStats { per_partition_active: vec![0; n], ..Default::default() };
-        let mut events = Vec::new();
-        let mut entries = Vec::new();
-        let mut output_buffer_fill =
-            options.resume.as_ref().map_or(0, |s| s.output_buffer_fill) as usize;
-
-        let base_counter = match &options.resume {
-            Some(snapshot) => {
-                if snapshot.active_vectors.len() != n {
-                    return Err(RunError::SnapshotMismatch {
-                        snapshot_vectors: snapshot.active_vectors.len(),
-                        fabric_partitions: n,
-                    });
-                }
-                self.enabled.copy_from_slice(&snapshot.active_vectors);
-                snapshot.symbol_counter
-            }
-            None => {
-                for p in 0..n {
-                    self.enabled[p] = self.start_sod[p].or(&self.start_all[p]);
-                }
-                0
-            }
-        };
-
-        let processed = input.len();
+        let Fabric { tables, telemetry, scratch } = self;
+        let t: &Tables = tables;
+        let n = t.rows.len();
+        let mut run = scratch.enter(t, options)?;
         let mut seen_codes: Vec<ReportCode> = Vec::new();
-        let telemetry_on = self.telemetry.is_enabled();
+        let telemetry_on = telemetry.is_enabled();
         for (rel_pos, &symbol) in input.iter().enumerate() {
-            let pos = base_counter + rel_pos as u64;
+            let pos = run.base_counter + rel_pos as u64;
             if telemetry_on && pos.is_multiple_of(TELEMETRY_SNAPSHOT_INTERVAL) {
-                let active = self.enabled.iter().filter(|m| !m.is_zero()).count();
-                self.telemetry.gauge("fabric.active_partitions", pos, active as f64);
-                self.telemetry.gauge("fabric.g1_signals", pos, stats.g1_signals as f64);
-                self.telemetry.gauge("fabric.g4_signals", pos, stats.g4_signals as f64);
-                self.telemetry.gauge(
-                    "fabric.fifo_refills",
-                    pos,
-                    (pos / FIFO_REFILL_BYTES as u64) as f64,
-                );
-                self.telemetry.gauge("fabric.output_buffer_fill", pos, output_buffer_fill as f64);
+                let active = scratch.enabled.iter().filter(|m| !m.is_zero()).count();
+                run.emit_snapshot(telemetry, pos, active as u64);
             }
             // Phase 1+2 per partition: state-match, then local transition.
-            self.next.copy_from_slice(&self.start_all);
+            scratch.next.copy_from_slice(&t.start_all);
             seen_codes.clear();
             for p in 0..n {
-                if self.enabled[p].is_zero() {
+                if scratch.enabled[p].is_zero() {
                     continue; // partition disabled: no precharge, no access
                 }
-                stats.active_partition_cycles += 1;
-                stats.per_partition_active[p] += 1;
-                let matched = self.enabled[p].and(&self.rows[p][symbol as usize]);
+                run.stats.active_partition_cycles += 1;
+                run.stats.per_partition_active[p] += 1;
+                let matched = scratch.enabled[p].and(&t.rows[p][symbol as usize]);
                 if matched.is_zero() {
                     continue;
                 }
-                stats.matched_total += matched.count() as u64;
+                run.stats.matched_total += matched.count() as u64;
                 // reports
-                let reporting = matched.and(&self.report_mask[p]);
+                let reporting = matched.and(&t.report_mask[p]);
                 for col in reporting.iter() {
-                    let (code, _) = self.report_code[p][col as usize];
-                    if options.collect_entries {
-                        entries.push(OutputEntry {
+                    let (code, _) = t.report_code[p][col as usize];
+                    if run.collect_entries {
+                        run.entries.push(OutputEntry {
                             partition: p as u32,
                             column: col,
                             symbol,
@@ -933,54 +956,44 @@ impl Fabric {
                     }
                     if !seen_codes.contains(&code) {
                         seen_codes.push(code);
-                        events.push(MatchEvent::new(pos, code));
-                        stats.reports += 1;
-                        output_buffer_fill += 1;
-                        if output_buffer_fill >= OUTPUT_BUFFER_ENTRIES {
-                            stats.output_interrupts += 1;
-                            output_buffer_fill = 0;
+                        run.events.push(MatchEvent::new(pos, code));
+                        run.stats.reports += 1;
+                        run.output_buffer_fill += 1;
+                        if run.output_buffer_fill >= OUTPUT_BUFFER_ENTRIES {
+                            run.stats.output_interrupts += 1;
+                            run.output_buffer_fill = 0;
                         }
                     }
                 }
                 // local switch
                 for s in matched.iter() {
-                    self.next[p].or_assign(&self.local[p][s as usize]);
+                    scratch.next[p].or_assign(&t.local[p][s as usize]);
                 }
             }
             // Phase 3: global-switch routes (computed against this cycle's
             // match vectors; results land in the next active-state vector).
-            for r in &self.routes {
+            for r in &t.routes {
                 let src = r.src_partition as usize;
-                if self.enabled[src].is_zero() {
+                if scratch.enabled[src].is_zero() {
                     continue;
                 }
-                let matched = self.enabled[src].and(&self.rows[src][symbol as usize]);
+                let matched = scratch.enabled[src].and(&t.rows[src][symbol as usize]);
                 if matched.get(r.src_ste) {
                     match r.via {
-                        RouteVia::G1 => stats.g1_signals += 1,
-                        RouteVia::G4 => stats.g4_signals += 1,
+                        RouteVia::G1 => run.stats.g1_signals += 1,
+                        RouteVia::G4 => run.stats.g4_signals += 1,
                     }
                     let dst = r.dst_partition as usize;
-                    let dest_mask = self.import_dest[dst][r.dst_port as usize];
-                    self.next[dst].or_assign(&dest_mask);
+                    let dest_mask = t.import_dest[dst][r.dst_port as usize];
+                    scratch.next[dst].or_assign(&dest_mask);
                 }
             }
-            std::mem::swap(&mut self.enabled, &mut self.next);
+            std::mem::swap(&mut scratch.enabled, &mut scratch.next);
         }
-        // Restore the worklist loop's scratch invariant: after the final
+        // Restore the sparse loop's scratch invariant: after the final
         // swap `next` holds the superseded vectors, which may be non-zero.
-        for m in &mut self.next {
-            *m = Mask256::ZERO;
-        }
-        stats.symbols = processed as u64;
-        stats.cycles = if processed == 0 { 0 } else { processed as u64 + PIPELINE_FILL_CYCLES };
-        stats.fifo_refills = processed.div_ceil(FIFO_REFILL_BYTES) as u64;
-        let snapshot = Snapshot {
-            symbol_counter: base_counter + input.len() as u64,
-            active_vectors: self.enabled.clone(),
-            output_buffer_fill: output_buffer_fill as u32,
-        };
-        Ok(ExecReport { events, stats, entries, snapshot: Some(snapshot) })
+        scratch.next.fill(Mask256::ZERO);
+        Ok(scratch.exit(run, input.len()))
     }
 
     /// Corrects a mid-stream *guess* run against the true boundary state,
@@ -1028,21 +1041,17 @@ impl Fabric {
         input: &[u8],
         true_entry: &Snapshot,
     ) -> Result<ExecReport, RunError> {
-        let n = self.partition_count();
-        if true_entry.active_vectors.len() != n {
-            return Err(RunError::SnapshotMismatch {
-                snapshot_vectors: true_entry.active_vectors.len(),
-                fabric_partitions: n,
-            });
-        }
+        let t = &*self.tables;
+        let n = t.rows.len();
+        t.check_shape(true_entry)?;
         let mut stats = ExecStats { per_partition_active: vec![0; n], ..Default::default() };
         let mut events = Vec::new();
         let base_counter = true_entry.symbol_counter;
 
         let mut enabled_true = true_entry.active_vectors.clone();
-        let mut enabled_guess: Vec<Mask256> = self.start_all.clone();
+        let mut enabled_guess: Vec<Mask256> = t.start_all.clone();
         for (p, entry) in enabled_true.iter().enumerate() {
-            if entry.and(&self.start_all[p]) != self.start_all[p] {
+            if entry.and(&t.start_all[p]) != t.start_all[p] {
                 return Err(RunError::EntryMissingStarts { partition: p });
             }
         }
@@ -1055,7 +1064,7 @@ impl Fabric {
         // everywhere off the list, so it is exact for both evolutions.
         let mut active: Vec<u32> = Vec::with_capacity(n);
         for (p, vector) in enabled_true.iter().enumerate() {
-            if *vector != self.start_all[p] {
+            if *vector != t.start_all[p] {
                 active.push(p as u32);
             }
         }
@@ -1064,8 +1073,8 @@ impl Fabric {
         let mut on_next = vec![false; n];
         // Per-cycle report-code dedup, epoch-stamped per distinct code.
         let mut epoch = 0u64;
-        let mut seen_true = vec![0u64; self.code_epoch.len()];
-        let mut seen_guess = vec![0u64; self.code_epoch.len()];
+        let mut seen_true = vec![0u64; self.scratch.code_epoch.len()];
+        let mut seen_guess = vec![0u64; self.scratch.code_epoch.len()];
         let mut true_codes: Vec<(ReportCode, u32)> = Vec::new();
 
         let mut processed = input.len();
@@ -1099,33 +1108,25 @@ impl Fabric {
             // same implicit-arming argument as the forward scan, applied
             // to both evolutions at once, with the same sequential-sweep
             // fallback once the merge would cover most of the fabric.
-            let candidates: &[u32] = &self.start_candidates[symbol as usize];
+            let candidates: &[u32] = &t.start_candidates[symbol as usize];
             let sweep = (active.len() + candidates.len()) * 3 >= n;
-            visit.clear();
             if sweep {
+                visit.clear();
                 visit.extend(0..n as u32);
             } else {
-                let (mut i, mut j) = (0, 0);
-                while i < active.len() && j < candidates.len() {
-                    let (a, c) = (active[i], candidates[j]);
-                    visit.push(a.min(c));
-                    i += usize::from(a <= c);
-                    j += usize::from(c <= a);
-                }
-                visit.extend_from_slice(&active[i..]);
-                visit.extend_from_slice(&candidates[j..]);
+                merge_ascending(&mut visit, &active, candidates);
             }
             for &pu in &visit {
                 let p = pu as usize;
-                let matched_true = enabled_true[p].and(&self.rows[p][symbol as usize]);
+                let matched_true = enabled_true[p].and(&t.rows[p][symbol as usize]);
                 if matched_true.is_zero() {
                     continue;
                 }
-                let matched_guess = enabled_guess[p].and(&self.rows[p][symbol as usize]);
+                let matched_guess = enabled_guess[p].and(&t.rows[p][symbol as usize]);
                 stats.matched_total += (matched_true.count() - matched_guess.count()) as u64;
-                let reporting_true = matched_true.and(&self.report_mask[p]);
+                let reporting_true = matched_true.and(&t.report_mask[p]);
                 for col in reporting_true.iter() {
-                    let (code, code_idx) = self.report_code[p][col as usize];
+                    let (code, code_idx) = t.report_code[p][col as usize];
                     if seen_true[code_idx as usize] != epoch {
                         seen_true[code_idx as usize] = epoch;
                         true_codes.push((code, code_idx));
@@ -1135,7 +1136,7 @@ impl Fabric {
                     }
                 }
                 for s in matched_true.iter() {
-                    let row = &self.local[p][s as usize];
+                    let row = &t.local[p][s as usize];
                     if !row.is_zero() {
                         next_true[p].or_assign(row);
                         if !on_next[p] {
@@ -1148,12 +1149,12 @@ impl Fabric {
                 // guess was OR'd into the true vector above, so the touch
                 // list already covers it.
                 for s in matched_guess.iter() {
-                    next_guess[p].or_assign(&self.local[p][s as usize]);
+                    next_guess[p].or_assign(&t.local[p][s as usize]);
                 }
                 // Global-switch routes sourced at this partition, reusing
                 // both match vectors.
-                for &ri in &self.routes_by_src[p] {
-                    let r = &self.routes[ri as usize];
+                for &ri in &t.routes_by_src[p] {
+                    let r = &t.routes[ri as usize];
                     if !matched_true.get(r.src_ste) {
                         continue;
                     }
@@ -1165,7 +1166,7 @@ impl Fabric {
                         }
                     }
                     let dst = r.dst_partition as usize;
-                    let dest_mask = self.import_dest[dst][r.dst_port as usize];
+                    let dest_mask = t.import_dest[dst][r.dst_port as usize];
                     if !dest_mask.is_zero() {
                         next_true[dst].or_assign(&dest_mask);
                         if !on_next[dst] {
@@ -1196,40 +1197,29 @@ impl Fabric {
             for &pu in &active {
                 let p = pu as usize;
                 if !on_next[p] {
-                    enabled_true[p] = self.start_all[p];
-                    enabled_guess[p] = self.start_all[p];
+                    enabled_true[p] = t.start_all[p];
+                    enabled_guess[p] = t.start_all[p];
                 }
             }
             active.clear();
+            // Ascending touch order keeps the hot list ascending; after a
+            // sweep the flags give it without sorting most of the fabric.
             if sweep {
-                for (p, flag) in on_next.iter_mut().enumerate() {
-                    if *flag {
-                        *flag = false;
-                        let full_true = next_true[p].or(&self.start_all[p]);
-                        let full_guess = next_guess[p].or(&self.start_all[p]);
-                        enabled_true[p] = full_true;
-                        enabled_guess[p] = full_guess;
-                        next_true[p] = Mask256::ZERO;
-                        next_guess[p] = Mask256::ZERO;
-                        if full_true != self.start_all[p] {
-                            active.push(p as u32);
-                        }
-                    }
-                }
+                touched.clear();
+                touched.extend((0..n as u32).filter(|&p| on_next[p as usize]));
             } else {
                 touched.sort_unstable();
-                for &pu in &touched {
-                    let p = pu as usize;
-                    on_next[p] = false;
-                    let full_true = next_true[p].or(&self.start_all[p]);
-                    let full_guess = next_guess[p].or(&self.start_all[p]);
-                    enabled_true[p] = full_true;
-                    enabled_guess[p] = full_guess;
-                    next_true[p] = Mask256::ZERO;
-                    next_guess[p] = Mask256::ZERO;
-                    if full_true != self.start_all[p] {
-                        active.push(pu);
-                    }
+            }
+            for &pu in &touched {
+                let p = pu as usize;
+                on_next[p] = false;
+                let full_true = next_true[p].or(&t.start_all[p]);
+                enabled_true[p] = full_true;
+                enabled_guess[p] = next_guess[p].or(&t.start_all[p]);
+                next_true[p] = Mask256::ZERO;
+                next_guess[p] = Mask256::ZERO;
+                if full_true != t.start_all[p] {
+                    active.push(pu);
                 }
             }
             touched.clear();
@@ -1249,38 +1239,40 @@ impl Fabric {
     /// stream whose prefix armed no carry-over state).
     ///
     /// The parallel scan driver seeds every stripe after the first with
-    /// this image; a correction pass over the [`Mask256::and_not`] delta of
-    /// the true boundary state then supplies anything the guess missed.
+    /// this image; once the true boundary state is known,
+    /// [`Fabric::run_correction`] evolves both entries side by side and
+    /// supplies exactly what the guess missed.
     pub fn midstream_snapshot(&self, symbol_counter: u64) -> Snapshot {
-        Snapshot { symbol_counter, active_vectors: self.start_all.clone(), output_buffer_fill: 0 }
+        let active_vectors = self.tables.start_all.clone();
+        Snapshot { symbol_counter, active_vectors, output_buffer_fill: 0 }
     }
 
     /// Per-partition always-armed start vectors (the midstream entry guess).
     pub fn start_all_vectors(&self) -> &[Mask256] {
-        &self.start_all
+        &self.tables.start_all
     }
 
-    /// Restores all mutable scratch to its post-construction state so the
-    /// instance can be recycled for a fresh logical stream without paying
-    /// [`Fabric::new`]'s table compilation again.
+    /// Restores all mutable scratch to its post-construction state, so a
+    /// long-lived instance starts its next logical stream exactly as a
+    /// fresh clone would.
     ///
     /// A completed [`run_with`](Fabric::run_with) already re-establishes
     /// the between-run invariants (`next` all-zero, `on_next` all false,
     /// `code_epoch` stamps below `epoch + 1`), so this is cheap O(n)
-    /// hygiene: it exists so a pool can hand out instances whose history —
-    /// including the monotone `epoch` — is indistinguishable from a fresh
-    /// build, and so a session abandoned mid-configuration cannot leak
-    /// state into the next one. Compiled tables and the telemetry handle
-    /// are kept.
+    /// hygiene: it makes the instance's history — including the monotone
+    /// `epoch` — indistinguishable from a fresh build, and keeps a session
+    /// abandoned mid-configuration from leaking state into the next one.
+    /// The shared tables and the telemetry handle are kept.
     pub fn reset(&mut self) {
-        self.enabled.fill(Mask256::ZERO);
-        self.next.fill(Mask256::ZERO);
-        self.active.clear();
-        self.touched.clear();
-        self.visit.clear();
-        self.on_next.fill(false);
-        self.code_epoch.fill(0);
-        self.epoch = 0;
+        let s = &mut self.scratch;
+        s.enabled.fill(Mask256::ZERO);
+        s.next.fill(Mask256::ZERO);
+        s.active.clear();
+        s.touched.clear();
+        s.visit.clear();
+        s.on_next.fill(false);
+        s.code_epoch.fill(0);
+        s.epoch = 0;
     }
 }
 
@@ -1517,20 +1509,56 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced() {
+        // Whole-report equality — events, every counter, entries and the
+        // exit image — on a non-empty input, on an empty one, and on both
+        // halves of the stream split and resumed at every offset (an empty
+        // resumed half must hand the caller's suspend image back).
         let bs = routed_pair();
         let input = b"zabzzabab";
-        let plain = Fabric::new(&bs).unwrap().run(input);
+        let mut plain = Fabric::new(&bs).unwrap();
+        let mut traced = plain.clone();
+        for collect_entries in [false, true] {
+            for split in 0..=input.len() {
+                let mut resume = None;
+                for half in [&input[..split], &input[split..]] {
+                    let options = RunOptions { resume: resume.take(), collect_entries };
+                    let expected = plain.run_with(half, &options).unwrap();
+                    let mut sink = Vec::new();
+                    let got = traced.run_traced(half, &options, &mut sink).unwrap();
+                    assert_eq!(got, expected, "split {split}, half {half:?}");
+                    let lines = String::from_utf8(sink).unwrap().lines().count();
+                    assert_eq!(lines, half.len());
+                    resume = expected.snapshot;
+                }
+            }
+        }
         let mut sink = Vec::new();
-        let traced =
-            Fabric::new(&bs).unwrap().run_traced(input, &RunOptions::default(), &mut sink).unwrap();
-        assert_eq!(plain.events, traced.events);
-        assert_eq!(plain.stats.matched_total, traced.stats.matched_total);
-        assert_eq!(plain.stats.cycles, traced.stats.cycles);
-        assert_eq!(plain.stats.g1_signals, traced.stats.g1_signals);
+        traced.run_traced(input, &RunOptions::default(), &mut sink).unwrap();
         let text = String::from_utf8(sink).unwrap();
-        assert_eq!(text.lines().count(), input.len());
         assert!(text.contains("sym 0x61 'a'"));
         assert!(text.contains("reports: r7@p1c0"));
+    }
+
+    #[test]
+    fn clones_share_tables_and_scan_like_a_fresh_build() {
+        let bs = routed_pair();
+        let mut original = Fabric::new(&bs).unwrap();
+        let early = original.clone();
+        assert!(original.shares_tables(&early), "a clone copies scratch only");
+        // A clone taken mid-life — after a suspended stream, a resumed one
+        // and a completed one have dirtied the scratch and advanced the
+        // epoch — still scans exactly like a fresh build.
+        let suspended = original.run(b"za");
+        let options = RunOptions { resume: suspended.snapshot, ..Default::default() };
+        let _ = original.run_with(b"b", &options).unwrap();
+        let _ = original.run(b"abab");
+        let mut late = original.clone();
+        assert!(original.shares_tables(&late));
+        let mut fresh = Fabric::new(&bs).unwrap();
+        assert!(!fresh.shares_tables(&late), "a second build owns its own tables");
+        for input in [&b"zabz"[..], b"", b"aaab"] {
+            assert_eq!(late.run(input), fresh.run(input), "input {input:?}");
+        }
     }
 
     #[test]

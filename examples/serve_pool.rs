@@ -1,6 +1,7 @@
 //! Serving many streams: a [`ScanPool`] multiplexes logical scan streams
-//! over a small fleet of worker threads that recycle fabric instances, with
-//! bounded queues, incremental match delivery and graceful shutdown.
+//! over a small fleet of worker threads — one fabric each, all sharing the
+//! program's lookup tables — with bounded queues, incremental match
+//! delivery and graceful shutdown.
 //!
 //! Run with: `cargo run --release --example serve_pool`
 
@@ -26,12 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()
         .compile_patterns(&["beacon[0-9]{4}", "exfil.*payload"])?;
 
-    // Two workers share one recycled fabric: max_fabrics bounds memory no
-    // matter how many logical streams connect.
-    let pool = ScanPool::new(
-        &program,
-        PoolOptions { workers: 2, max_fabrics: 1, ..PoolOptions::default() },
-    )?;
+    // Two workers, so two fabrics — each a few hundred bytes of scratch
+    // over the program's one table set — no matter how many logical
+    // streams connect.
+    let pool = ScanPool::new(&program, PoolOptions { workers: 2, ..PoolOptions::default() })?;
 
     // Feed three concurrent "connections" from ordinary threads. Each
     // stream sees its own isolated automaton state, so a pattern spanning

@@ -1,9 +1,9 @@
 //! Workspace-level tests for the multi-stream scan service: a [`ScanPool`]
-//! multiplexing K logical streams over N workers and a bounded fabric pool
-//! must report, per stream, exactly what a dedicated `Scanner` session
-//! over the same chunks reports — whatever the interleaving, worker count,
-//! or fabric contention — and must fail typed (never panic) under
-//! backpressure, mid-stream shutdown, and abort.
+//! multiplexing K logical streams over N workers (one fabric each) must
+//! report, per stream, exactly what a dedicated `Scanner` session over the
+//! same chunks reports — whatever the interleaving or worker count — and
+//! must fail typed (never panic) under backpressure, mid-stream shutdown,
+//! and abort.
 
 use ca_telemetry::MemoryRecorder;
 use ca_workloads::{Benchmark, Scale};
@@ -105,19 +105,17 @@ fn pool_streams_match_serial_on_every_benchmark() {
 }
 
 #[test]
-fn single_shared_fabric_is_recycled_across_streams() {
-    // max_fabrics = 1 under 4 workers: every batch of every stream goes
-    // through the same recycled instance, so any state leaking across
-    // `Fabric::reset` would corrupt the differential.
+fn single_worker_fabric_is_shared_across_streams() {
+    // One worker, so one fabric: every 128-byte batch of every stream goes
+    // through the same instance, so any state leaking from one batch into
+    // the next would corrupt the differential.
     let w = Benchmark::ClamAv.build(Scale::tiny(), 7);
     let program = CacheAutomaton::new().compile_nfa(&w.nfa).unwrap();
     let streams: Vec<Vec<u8>> = (0..8).map(|i| w.input(1024, 70 + i)).collect();
-    let pool = ScanPool::new(
-        &program,
-        PoolOptions { workers: 4, max_fabrics: 1, quantum: 128, ..PoolOptions::default() },
-    )
-    .unwrap();
-    differential(&pool, &program, &streams, "shared-fabric pool");
+    let pool =
+        ScanPool::new(&program, PoolOptions { workers: 1, quantum: 128, ..PoolOptions::default() })
+            .unwrap();
+    differential(&pool, &program, &streams, "single-fabric pool");
     pool.shutdown().unwrap();
 }
 
@@ -134,13 +132,9 @@ fn backpressure_blocks_feeders_without_losing_data() {
     // A 64-byte queue bound against 64 KiB of input: the feeder can only
     // be admitted into an empty queue, so it must stall whenever the
     // single worker has not fully drained between two feeds — with 1024
-    // chunks (and fabric construction on the first batch) that is
-    // effectively every round.
-    let pool = ScanPool::new(
-        &program,
-        PoolOptions { workers: 1, queue_bytes: 64, quantum: 64, ..PoolOptions::default() },
-    )
-    .unwrap();
+    // chunks that is effectively every round.
+    let pool =
+        ScanPool::new(&program, PoolOptions { workers: 1, queue_bytes: 64, quantum: 64 }).unwrap();
     let mut stream = pool.open_stream().unwrap();
     for chunk in input.chunks(64) {
         stream.feed(chunk).unwrap();
@@ -249,12 +243,7 @@ fn abort_discards_queued_work_with_typed_errors() {
     let input = w.input(1024 * 1024, 23);
     let pool = ScanPool::new(
         &program,
-        PoolOptions {
-            workers: 1,
-            quantum: 4096,
-            queue_bytes: 2 * 1024 * 1024,
-            ..PoolOptions::default()
-        },
+        PoolOptions { workers: 1, quantum: 4096, queue_bytes: 2 * 1024 * 1024 },
     )
     .unwrap();
     let mut stream = pool.open_stream().unwrap();
