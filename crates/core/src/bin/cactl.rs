@@ -2,9 +2,10 @@
 //!
 //! ```text
 //! cactl compile <rules> [--design P|S] [--slices N] [--pages OUT] [--out ARTIFACT]
-//! cactl run     <rules> <input-file> [--design P|S] [--limit N] [--trace OUT] [--shards N]
+//! cactl run     <rules> <input-file> [--design P|S] [--limit N] [--trace OUT | --shards N]
 //!                       [--metrics OUT]
-//! cactl run     --program <artifact> <input-file> [--limit N] [--shards N] [--metrics OUT]
+//! cactl run     --program <artifact> <input-file> [--limit N] [--trace OUT | --shards N]
+//!                       [--metrics OUT]
 //! cactl inspect <rules> [--design P|S]
 //! cactl anml    <rules>
 //! cactl frompages <image.capg> <input-file>
@@ -357,6 +358,11 @@ fn run(args: Vec<String>) -> Result<String, CaError> {
             }
         }
         "run" => {
+            // The cycle trace is one serial scan; a sharded scan has no
+            // single per-cycle order to write down.
+            if shards.is_some() && opts.get("--trace").is_some() {
+                return Err(config_err("run takes --trace or --shards, not both"));
+            }
             let (program, inputs) = program_and_inputs(command, &opts, &ca, &telemetry)?;
             let [input_path] = inputs else {
                 return Err(config_err("run needs exactly one input file"));

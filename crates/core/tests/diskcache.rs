@@ -269,3 +269,38 @@ fn cactl_processes_share_the_cache_directory() {
     assert!(warm_log.contains("cache.disk.hits"), "second process hit the disk tier");
     assert!(!warm_log.contains("compile.pass."), "second process never ran a compiler pass");
 }
+
+/// `--trace` writes one serial scan's cycles, so `run` refuses it beside
+/// `--shards` (usage error, exit code 2) instead of quietly scanning
+/// serially, and does so before creating the trace file.
+#[test]
+fn cactl_run_refuses_trace_with_shards() {
+    let scratch = Scratch::new("cactl-trace-shards");
+    let rules = scratch.path().join("rules.txt");
+    let input = scratch.path().join("input.bin");
+    let trace = scratch.path().join("cycles.txt");
+    std::fs::write(&rules, "warm\n").unwrap();
+    std::fs::write(&input, b"a warm start").unwrap();
+    let cactl = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_cactl"))
+            .env_remove(CACHE_DIR_ENV)
+            .arg("run")
+            .arg(&rules)
+            .arg(&input)
+            .arg("--trace")
+            .arg(&trace)
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+
+    let refused = cactl(&["--shards", "2"]);
+    assert_eq!(refused.status.code(), Some(2), "a usage error");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("--trace") && stderr.contains("--shards"), "{stderr}");
+    assert!(!trace.exists(), "refused before the trace file was created");
+
+    let traced = cactl(&[]);
+    assert!(traced.status.success(), "{}", String::from_utf8_lossy(&traced.stderr));
+    assert_eq!(std::fs::read_to_string(&trace).unwrap().lines().count(), 12, "a line per byte");
+}

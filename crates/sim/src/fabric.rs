@@ -23,6 +23,21 @@
 //! [`Fabric::run_dense`] keeps the original O(P+R) loop as the reference
 //! implementation for differential tests and benchmarks.
 //!
+//! The sweep's local switch is *bit-parallel*. The L-switch is a crossbar
+//! whose matched rows all drive in one cycle (§2.3–2.5), and the matrices
+//! rule sets compile to are almost pure chains, so [`Fabric::new`]
+//! decomposes each partition's matrix into a hold mask (self-loops) and
+//! at most three masked shifts (its most frequent forward distances,
+//! each under 64 columns): a sweep visit costs those few word operations
+//! however many STEs matched. A column owning any other edge — backward,
+//! 64 or more columns forward, a fourth distance — is an *exception
+//! column*: it is left out of the masks and its row is ORed in as before.
+//! The sparse visit walk and the correction pass keep the
+//! one-row-per-matched-STE walk — a visit there carries about one matched
+//! state, and a single 32-byte OR is cheaper than a hold mask and three
+//! shifts — and so does the dense reference, which has to stay
+//! independent of what it checks.
+//!
 //! As in the hardware, an automaton is *configured once*: the lookup
 //! tables [`Fabric::new`] compiles from a bitstream are immutable and
 //! shared by reference between every clone of that fabric. All a clone
@@ -31,6 +46,7 @@
 //! O(partitions + report codes), not a copy of the configuration.
 
 use crate::bitstream::{Bitstream, BitstreamError, Route, RouteVia};
+use crate::local_switch::LocalSwitch;
 use crate::mask::Mask256;
 use ca_automata::engine::MatchEvent;
 use ca_automata::ReportCode;
@@ -312,6 +328,8 @@ struct Scratch {
     on_next: Vec<bool>,
     code_epoch: Vec<u64>,
     epoch: u64,
+    /// Cycles of the most recent run that took the sequential sweep.
+    sweep_cycles: u64,
 }
 
 /// The read-only configuration of one bitstream, compiled by
@@ -322,6 +340,9 @@ struct Tables {
     rows: Vec<Vec<Mask256>>,
     /// Per-partition per-STE local destinations.
     local: Vec<Vec<Mask256>>,
+    /// `local[p]` decomposed into a hold mask and masked shifts — the
+    /// form the sweep applies.
+    switch: Vec<LocalSwitch>,
     /// Per-partition import-port destinations.
     import_dest: Vec<Vec<Mask256>>,
     start_all: Vec<Mask256>,
@@ -428,6 +449,7 @@ impl Scratch {
         };
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
+        self.sweep_cycles = 0;
         Ok(Run {
             collect_entries: options.collect_entries,
             base_counter,
@@ -458,14 +480,14 @@ impl Scratch {
     /// One partition's phases 1–3 for one cycle: state-match, report
     /// extraction, local switch, then the global routes sourced at this
     /// partition — reusing the match vector the dense loop recomputed
-    /// once per route. Shared verbatim by the sparse visit walk and the
-    /// sequential sweep so both modes are trivially identical.
-    /// `RECORD_TOUCH` compiles the touch-list bookkeeping in or out: the
-    /// sparse walk needs `touched`/`on_next` to rebuild the hot list, the
-    /// sequential sweep rebuilds it from a full materialize pass instead
-    /// and skips the flags entirely.
+    /// once per route. Shared by the sparse visit walk (`SPARSE`) and the
+    /// sequential sweep, which differ in two places: only the sparse walk
+    /// keeps `touched`/`on_next` (the sweep rebuilds the hot list from a
+    /// full materialize pass), and only the sweep applies the local
+    /// switch in its bit-parallel form (module docs have the reason).
+    /// Both compute the same `next`.
     #[inline(always)]
-    fn scan_partition<const RECORD_TOUCH: bool>(
+    fn scan_partition<const SPARSE: bool>(
         &mut self,
         t: &Tables,
         run: &mut Run,
@@ -503,17 +525,22 @@ impl Scratch {
                 }
             }
         }
-        // local switch (zero rows neither change `next` nor may mark the
-        // partition touched — the touch list stays exact)
-        for s in matched.iter() {
-            let row = &t.local[p][s as usize];
-            if !row.is_zero() {
-                self.next[p].or_assign(row);
-                if RECORD_TOUCH && !self.on_next[p] {
-                    self.on_next[p] = true;
-                    run.touched.push(p as u32);
+        // local switch
+        if SPARSE {
+            // zero rows neither change `next` nor may mark the partition
+            // touched — the touch list stays exact
+            for s in matched.iter() {
+                let row = &t.local[p][s as usize];
+                if !row.is_zero() {
+                    self.next[p].or_assign(row);
+                    if !self.on_next[p] {
+                        self.on_next[p] = true;
+                        run.touched.push(p as u32);
+                    }
                 }
             }
+        } else {
+            self.next[p].or_assign(&t.switch[p].apply(&t.local[p], &matched));
         }
         // global-switch routes sourced at this partition
         for &ri in &t.routes_by_src[p] {
@@ -529,7 +556,7 @@ impl Scratch {
             let dest_mask = t.import_dest[dst][r.dst_port as usize];
             if !dest_mask.is_zero() {
                 self.next[dst].or_assign(&dest_mask);
-                if RECORD_TOUCH && !self.on_next[dst] {
+                if SPARSE && !self.on_next[dst] {
                     self.on_next[dst] = true;
                     run.touched.push(r.dst_partition);
                 }
@@ -560,6 +587,7 @@ impl Fabric {
         code_set.dedup();
         let mut rows = Vec::with_capacity(n);
         let mut local = Vec::with_capacity(n);
+        let mut switch = Vec::with_capacity(n);
         let mut import_dest = Vec::with_capacity(n);
         let mut start_all = Vec::with_capacity(n);
         let mut start_sod = Vec::with_capacity(n);
@@ -568,6 +596,7 @@ impl Fabric {
         for p in &bitstream.partitions {
             rows.push(p.sram_rows());
             local.push(p.local.clone());
+            switch.push(LocalSwitch::build(&p.local));
             import_dest.push(p.import_dest.clone());
             start_all.push(p.start_all);
             start_sod.push(p.start_sod);
@@ -599,6 +628,7 @@ impl Fabric {
         let tables = Tables {
             rows,
             local,
+            switch,
             import_dest,
             start_all,
             start_sod,
@@ -618,6 +648,7 @@ impl Fabric {
             on_next: vec![false; n],
             code_epoch: vec![0; code_set.len()],
             epoch: 0,
+            sweep_cycles: 0,
         };
         Ok(Fabric { tables: Arc::new(tables), telemetry: Telemetry::disabled(), scratch })
     }
@@ -631,6 +662,14 @@ impl Fabric {
     /// true exactly for clones descending from one [`Fabric::new`].
     pub fn shares_tables(&self, other: &Fabric) -> bool {
         Arc::ptr_eq(&self.tables, &other.tables)
+    }
+
+    /// Symbols of the most recent [`run_with`](Fabric::run_with) that took
+    /// the sequential sweep; the rest took the sparse visit walk. The two
+    /// modes apply the local switch differently, so a differential test
+    /// reads this to show that its inputs drove both.
+    pub fn sweep_cycles(&self) -> u64 {
+        self.scratch.sweep_cycles
     }
 
     /// Routes activity snapshots (a gauge batch every
@@ -726,8 +765,12 @@ impl Fabric {
     /// (with hysteresis) to a dense-style sequential sweep of all
     /// partitions, so high-activity inputs keep the dense loop's
     /// streaming memory behaviour instead of paying for sparsity that
-    /// isn't there. Behaviour is bit-identical to the dense reference
-    /// loop ([`Fabric::run_dense`]) in every mode, including every
+    /// isn't there. The sweep also applies each partition's local switch
+    /// bit-parallel (a hold mask, at most three masked shifts and a row
+    /// walk over its exception columns — see the module docs), so a
+    /// saturated cycle costs per partition, not per matched state.
+    /// Behaviour is bit-identical to the dense reference loop
+    /// ([`Fabric::run_dense`]) in every mode, including every
     /// [`ExecStats`] counter.
     ///
     /// # Errors
@@ -826,6 +869,7 @@ impl Fabric {
                 // all-zero scratch invariant.
                 scratch.next.copy_from_slice(&t.start_all);
                 next_dirty = true;
+                scratch.sweep_cycles += 1;
                 for p in 0..n {
                     scratch.scan_partition::<false>(t, &mut run, p, symbol, pos, epoch);
                 }
@@ -1273,6 +1317,7 @@ impl Fabric {
         s.on_next.fill(false);
         s.code_epoch.fill(0);
         s.epoch = 0;
+        s.sweep_cycles = 0;
     }
 }
 

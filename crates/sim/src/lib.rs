@@ -33,6 +33,7 @@ pub mod energy;
 pub mod fabric;
 pub mod floorplan;
 pub mod geometry;
+mod local_switch;
 pub mod mask;
 pub mod pages;
 pub mod switch_model;

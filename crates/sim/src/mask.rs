@@ -87,6 +87,21 @@ impl Mask256 {
         }
     }
 
+    /// Moves every bit `d` columns up (`b → b + d`) for `d` in `1..=63`,
+    /// carrying across the word boundaries and dropping bits pushed past
+    /// column 255: all of a partition's `s → s + d` local-switch edges in
+    /// one operation (see [`fabric`](crate::fabric)).
+    #[inline(always)]
+    #[must_use]
+    pub(crate) fn shifted_up(&self, d: u32) -> Mask256 {
+        debug_assert!((1..=63).contains(&d), "shift distance {d} outside 1..=63");
+        let [w0, w1, w2, w3] = self.words;
+        let carry = 64 - d;
+        Mask256 {
+            words: [w0 << d, w1 << d | w0 >> carry, w2 << d | w1 >> carry, w3 << d | w2 >> carry],
+        }
+    }
+
     /// Iterates over set bit indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
         (0usize..4).flat_map(move |w| {
@@ -139,6 +154,7 @@ impl fmt::Display for Mask256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn set_get_clear() {
@@ -177,6 +193,54 @@ mod tests {
     fn words_roundtrip() {
         let m: Mask256 = [7u8, 77, 177].into_iter().collect();
         assert_eq!(Mask256::from_words(m.to_words()), m);
+    }
+
+    /// `{ b + d | b ∈ m, b + d ≤ 255 }`, one bit at a time.
+    fn shifted_reference(m: &Mask256, d: u32) -> Mask256 {
+        m.iter().filter_map(|b| u8::try_from(u32::from(b) + d).ok()).collect()
+    }
+
+    #[test]
+    fn shift_carries_across_every_word_boundary() {
+        let shifted = |bit: u8, d| {
+            let m: Mask256 = [bit].into_iter().collect();
+            m.shifted_up(d).iter().collect::<Vec<_>>()
+        };
+        for boundary in [64u8, 128, 192] {
+            assert_eq!(shifted(boundary - 1, 1), vec![boundary]);
+            assert_eq!(shifted(boundary - 63, 63), vec![boundary]);
+            assert_eq!(shifted(boundary - 1, 63), vec![boundary + 62]);
+            assert_eq!(shifted(boundary - 2, 1), vec![boundary - 1], "no carry below the edge");
+        }
+        // one bit per word, moved together
+        let m: Mask256 = [40u8, 104, 168, 232].into_iter().collect();
+        assert_eq!(m.shifted_up(30).iter().collect::<Vec<_>>(), vec![70, 134, 198]);
+    }
+
+    #[test]
+    fn shift_drops_bits_pushed_past_column_255() {
+        let top: Mask256 = [255u8].into_iter().collect();
+        assert!(top.shifted_up(1).is_zero());
+        let m: Mask256 = [192u8, 193, 250].into_iter().collect();
+        assert_eq!(m.shifted_up(63).iter().collect::<Vec<_>>(), vec![255]);
+        let full = Mask256::from_words([u64::MAX; 4]);
+        for d in 1..=63 {
+            assert_eq!(full.shifted_up(d).count(), 256 - d, "d = {d}");
+            assert_eq!(full.shifted_up(d), shifted_reference(&full, d), "d = {d}");
+        }
+    }
+
+    proptest! {
+        /// Every distance on arbitrary masks against the per-bit reference.
+        #[test]
+        fn shift_matches_per_bit_reference(
+            words in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        ) {
+            let m = Mask256::from_words([words.0, words.1, words.2, words.3]);
+            for d in 1..=63 {
+                prop_assert_eq!(m.shifted_up(d), shifted_reference(&m, d), "d = {}", d);
+            }
+        }
     }
 
     #[test]
