@@ -136,6 +136,14 @@ impl HomNfa {
         HomNfa { states: Vec::with_capacity(n), succ: Vec::with_capacity(n) }
     }
 
+    /// Releases the spare capacity of the state tables, for an automaton
+    /// that was grown state by state and will now be kept. (Successor
+    /// lists keep theirs: they are a few ids each.)
+    pub fn shrink_to_fit(&mut self) {
+        self.states.shrink_to_fit();
+        self.succ.shrink_to_fit();
+    }
+
     /// Number of states.
     pub fn len(&self) -> usize {
         self.states.len()

@@ -46,10 +46,34 @@ fn input_strategy() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(prop::sample::select(b"abcde".to_vec()), 0..60)
 }
 
-/// A random well-formed homogeneous NFA.
+/// A random well-formed homogeneous NFA with labels over `a..=d`, the
+/// alphabet [`input_strategy`] exercises.
 fn nfa_strategy() -> impl Strategy<Value = HomNfa> {
+    let label = prop::collection::vec(prop::sample::select(b"abcd".to_vec()), 1..4);
+    nfa_with_labels(label.prop_map(|bytes| CharClass::of(&bytes)))
+}
+
+/// Like [`nfa_strategy`] with labels over all 256 byte values, biased
+/// towards what the ANML text has to escape: the entity characters
+/// `" & < >`, the class metacharacters `] ^ - \ [`, control and high bytes
+/// (`\n`, `\xNN`), plus ranges, negated classes and the match-all `*`.
+fn wide_nfa_strategy() -> impl Strategy<Value = HomNfa> {
+    let byte = prop_oneof![
+        2 => prop::sample::select(b"\"&<>]^-\\[\n\r\t\x00\xff".to_vec()),
+        1 => any::<u8>(),
+    ];
+    let bytes = prop::collection::vec(byte, 1..6).prop_map(|bytes| CharClass::of(&bytes));
+    nfa_with_labels(prop_oneof![
+        6 => bytes.clone(),
+        2 => bytes.prop_map(|class| class.negate()),
+        2 => (any::<u8>(), any::<u8>()).prop_map(|(a, b)| CharClass::range(a.min(b), a.max(b))),
+        1 => Just(CharClass::ALL),
+    ])
+}
+
+fn nfa_with_labels(label: impl Strategy<Value = CharClass>) -> impl Strategy<Value = HomNfa> {
     let state = (
-        prop::collection::vec(prop::sample::select(b"abcd".to_vec()), 1..4),
+        label,
         0..3u8,                     // start kind selector
         prop::bool::weighted(0.25), // reporting?
     );
@@ -58,14 +82,14 @@ fn nfa_strategy() -> impl Strategy<Value = HomNfa> {
         let edges = prop::collection::vec((0..n, 0..n), 0..n * 3);
         (Just(specs), edges).prop_map(|(specs, edges)| {
             let mut nfa = HomNfa::new();
-            for (i, (bytes, start_sel, report)) in specs.iter().enumerate() {
+            for (i, (label, start_sel, report)) in specs.iter().enumerate() {
                 let start = match start_sel {
                     0 => StartKind::AllInput,
                     1 => StartKind::StartOfData,
                     _ => StartKind::None,
                 };
                 let report = if *report { Some(ReportCode(i as u32)) } else { None };
-                nfa.add_state_full(CharClass::of(bytes), start, report);
+                nfa.add_state_full(*label, start, report);
             }
             for (a, b) in edges {
                 nfa.add_edge(ca_automata::StateId(a as u32), ca_automata::StateId(b as u32));
@@ -282,12 +306,69 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// ANML serialization round-trips structurally.
+    /// ANML serialization round-trips structurally, through every escape
+    /// the writer and the parser know.
     #[test]
-    fn anml_roundtrip(nfa in nfa_strategy()) {
+    fn anml_roundtrip(nfa in wide_nfa_strategy()) {
         let text = to_anml(&nfa, "prop");
         let back = parse_anml(&text).unwrap();
         prop_assert_eq!(back, nfa);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Damaged ANML text — truncated, or with characters replaced, inserted
+    /// and deleted (always valid UTF-8: `parse_anml` takes a `&str`) —
+    /// never panics the parser. An error points at a line the text has; an
+    /// automaton that still parses is structurally sound and round-trips.
+    #[test]
+    fn anml_mutations_fail_cleanly(
+        nfa in wide_nfa_strategy(),
+        edits in prop::collection::vec(
+            (
+                0..4u8,
+                any::<prop::sample::Index>(),
+                prop::sample::select("<>\"/=&;?!-[]\\ \n\tsx0é\u{feff}".chars().collect::<Vec<_>>()),
+            ),
+            1..4,
+        ),
+    ) {
+        let mut text = to_anml(&nfa, "prop");
+        for (kind, at, c) in edits {
+            let at = at.index(text.len() + 1);
+            let at = (0..=at).rev().find(|&i| text.is_char_boundary(i)).expect("0 is a boundary");
+            match kind {
+                0 => text.truncate(at),
+                1 => text.insert(at, c),
+                _ if at == text.len() => {}
+                2 => drop(text.remove(at)),
+                _ => {
+                    text.remove(at);
+                    text.insert(at, c);
+                }
+            }
+        }
+        match parse_anml(&text) {
+            Ok(mut back) => {
+                // An edit may have taken the only start or report away (an
+                // attribute the parser does not know is skipped); the rest
+                // of what `validate` checks is the parser's to keep.
+                if !back.is_empty() {
+                    let first = back.state_mut(ca_automata::StateId(0));
+                    first.start = StartKind::AllInput;
+                    first.report = Some(ReportCode(0));
+                }
+                prop_assert!(back.validate().is_ok(), "{:?} from {:?}", back.validate(), text);
+                prop_assert_eq!(parse_anml(&to_anml(&back, "again")).unwrap(), back);
+            }
+            Err(ca_automata::Error::ParseAnml { line, .. }) => {
+                let lines = 1 + text.matches('\n').count();
+                prop_assert!((1..=lines).contains(&line), "line {} of {} in {:?}", line, lines, text);
+            }
+            Err(other) => prop_assert!(false, "not a parse error: {}", other),
+        }
     }
 }
 

@@ -146,6 +146,8 @@ impl DaemonShared {
 /// Builds a homogeneous NFA from rule text: an ANML document when the
 /// text starts with `<`, otherwise newline-separated regex patterns
 /// (blank lines and `#` comments ignored; pattern `i` reports code `i`).
+/// One leading byte-order mark is dropped first, so a file saved with one
+/// is sniffed by its content.
 ///
 /// This is the one rules parser shared by `cactl` (which reads the text
 /// from a file) and the daemon's RELOAD path (which receives it over the
@@ -156,6 +158,7 @@ impl DaemonShared {
 /// [`CaError::Config`] for an empty pattern set; otherwise ANML or regex
 /// front-end errors.
 pub fn nfa_from_rules_text(text: &str) -> Result<crate::HomNfa, CaError> {
+    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
     if text.trim_start().starts_with('<') {
         Ok(ca_automata::anml::parse_anml(text)?)
     } else {
@@ -598,6 +601,24 @@ mod tests {
             nfa_from_rules_text("# only comments\n").unwrap_err(),
             CaError::Config(_)
         ));
+    }
+
+    #[test]
+    fn byte_order_mark_does_not_change_the_front_end() {
+        let document = "<anml-network id=\"bom\">\n\
+                        <state-transition-element id=\"only\" symbol-set=\"a\" start=\"all-input\">\n\
+                        <report-on-match reportcode=\"3\"/>\n\
+                        </state-transition-element>\n</anml-network>\n";
+        let nfa = nfa_from_rules_text(document).unwrap();
+        assert_eq!(nfa.len(), 1);
+        assert_eq!(nfa_from_rules_text(&format!("\u{feff}{document}")).unwrap(), nfa);
+        // A pattern list stays a pattern list, and its first pattern does
+        // not acquire the mark.
+        let patterns = "rain\nsp[ai]n\n";
+        assert_eq!(
+            nfa_from_rules_text(&format!("\u{feff}{patterns}")).unwrap(),
+            nfa_from_rules_text(patterns).unwrap()
+        );
     }
 
     #[test]
