@@ -6,9 +6,46 @@
 //! label, same start kind and identical predecessor sets imply they are
 //! enabled in exactly the same cycles, so one copy (with the union of the
 //! out-edges) behaves identically. Iterating this to a fixpoint collapses
-//! shared prefixes such as `art`/`artifact` exactly as the paper describes.
+//! shared prefixes such as `art`/`artifact` exactly as the paper describes;
+//! the dual over successor sets collapses shared suffixes.
+//!
+//! # One worklist engine
+//!
+//! Both directions run on one engine. A state's *signature* is its label,
+//! start kind and report code plus the set of classes of its predecessors
+//! (successors, for suffixes), its own class written as a sentinel so that
+//! two states differing only in looping on themselves still merge. A class
+//! is named by its representative, the smallest state id in it.
+//!
+//! The engine works in generations over a FIFO worklist seeded with every
+//! state in id order. A generation signs the queued classes, groups each
+//! with the class already holding its signature, and merges every group
+//! at its end; the next generation re-signs only what those merges can
+//! have changed — the states with a neighbour in an absorbed class, the
+//! only classes whose name went away. It stops at the first generation
+//! that merges nothing: the least fixpoint of "merge equal signatures",
+//! reached without a round cap. Because merges wait for the end of their
+//! generation, the generations are exactly the rounds of the plain
+//! algorithm (sign every state, rebuild, repeat — kept as the reference in
+//! `tests/proptests.rs`): the same classes and the same out-edge order (a
+//! class's out-edges are its members', concatenated in the order the
+//! rounds pooled them). Merging as soon as a match is found can pool a
+//! class's members in another order, and the compiler's packing sees
+//! successor order.
+//!
+//! Signatures live in one table that is never cleaned. That is sound
+//! because a key names only the representatives that were current when it
+//! was inserted, and an absorbed id never again appears in a freshly
+//! computed signature: a key whose class's signature has since changed
+//! names an absorbed id (a merge that keeps every named class alive keeps
+//! the signature too), so no fresh key can match it.
+//!
+//! Cost: one signing pass over the automaton, then per generation only the
+//! re-signed classes' neighbour lists, then one rebuild — not a full
+//! signing pass and rebuild per round, of which Snort needs 16 and
+//! EntityResolution 33.
 
-use crate::homogeneous::{HomNfa, StateId};
+use crate::homogeneous::{HomNfa, State, StateId};
 use std::collections::HashMap;
 
 /// Result of an optimization pass.
@@ -18,8 +55,6 @@ pub struct OptimizeStats {
     pub states_before: usize,
     /// States after the pass.
     pub states_after: usize,
-    /// Fixpoint iterations performed.
-    pub rounds: usize,
 }
 
 impl OptimizeStats {
@@ -55,86 +90,7 @@ impl OptimizeStats {
 /// # }
 /// ```
 pub fn merge_common_prefixes(nfa: &HomNfa) -> (HomNfa, OptimizeStats) {
-    let mut current = nfa.clone();
-    let before = nfa.len();
-    let mut rounds = 0;
-    loop {
-        rounds += 1;
-        let (next, merged_any) = merge_round(&current);
-        current = next;
-        if !merged_any || rounds > 64 {
-            break;
-        }
-    }
-    let stats = OptimizeStats { states_before: before, states_after: current.len(), rounds };
-    (current, stats)
-}
-
-/// Merge-candidate buckets keyed by activation signature:
-/// (label bits, start kind, report, sorted neighbour ids).
-type SignatureGroups = HashMap<([u64; 4], u8, Option<u32>, Vec<u32>), Vec<StateId>>;
-
-/// One merge round: groups states by activation signature and rebuilds.
-fn merge_round(nfa: &HomNfa) -> (HomNfa, bool) {
-    let pred = nfa.predecessors();
-    // signature: (label bits, start kind, report, sorted predecessor ids)
-    let mut groups: SignatureGroups = HashMap::new();
-    for (id, st) in nfa.iter() {
-        // Self-loops are replaced by a sentinel so two states that differ
-        // only in *which* state they self-loop on (their own) can merge:
-        // with equal labels, starts and non-self predecessors, their
-        // activation recurrences are identical by induction.
-        let mut p: Vec<u32> =
-            pred[id.index()].iter().map(|s| if *s == id { u32::MAX } else { s.0 }).collect();
-        p.sort_unstable();
-        p.dedup();
-        let key = (
-            st.label.to_bits(),
-            match st.start {
-                crate::homogeneous::StartKind::None => 0u8,
-                crate::homogeneous::StartKind::StartOfData => 1,
-                crate::homogeneous::StartKind::AllInput => 2,
-            },
-            st.report.map(|r| r.0),
-            p,
-        );
-        groups.entry(key).or_default().push(id);
-    }
-    let mut merged_any = false;
-    // representative map: every state -> the smallest id in its group,
-    // but only for groups whose predecessor sets contain no group members
-    // (self-referential groups are handled conservatively: merging states
-    // whose predecessor lists differ only by intra-group ids is deferred to
-    // later rounds once their predecessors have merged).
-    let mut repr: Vec<StateId> = (0..nfa.len() as u32).map(StateId).collect();
-    for members in groups.values() {
-        if members.len() > 1 {
-            merged_any = true;
-            let keep = members[0];
-            for &m in &members[1..] {
-                repr[m.index()] = keep;
-            }
-        }
-    }
-    if !merged_any {
-        return (nfa.clone(), false);
-    }
-    // Rebuild with representatives only.
-    let mut new_id: Vec<Option<StateId>> = vec![None; nfa.len()];
-    let mut out = HomNfa::new();
-    for (id, st) in nfa.iter() {
-        if repr[id.index()] == id {
-            new_id[id.index()] = Some(out.add_state_full(st.label, st.start, st.report));
-        }
-    }
-    for (id, _) in nfa.iter() {
-        let from = new_id[repr[id.index()].index()].expect("representative exists");
-        for &t in nfa.successors(id) {
-            let to = new_id[repr[t.index()].index()].expect("representative exists");
-            out.add_edge(from, to);
-        }
-    }
-    (out, true)
+    merge_to_fixpoint(nfa, Direction::Prefix)
 }
 
 /// Merges *observation-equivalent* states to a fixpoint (common-suffix
@@ -148,72 +104,113 @@ fn merge_round(nfa: &HomNfa) -> (HomNfa, bool) {
 /// Start kinds must also match: an all-input start is re-enabled every
 /// cycle, so merging it with a non-start would change activations.
 pub fn merge_common_suffixes(nfa: &HomNfa) -> (HomNfa, OptimizeStats) {
-    let mut current = nfa.clone();
-    let before = nfa.len();
-    let mut rounds = 0;
-    loop {
-        rounds += 1;
-        let (next, merged_any) = suffix_round(&current);
-        current = next;
-        if !merged_any || rounds > 64 {
-            break;
-        }
-    }
-    let stats = OptimizeStats { states_before: before, states_after: current.len(), rounds };
-    (current, stats)
+    merge_to_fixpoint(nfa, Direction::Suffix)
 }
 
-fn suffix_round(nfa: &HomNfa) -> (HomNfa, bool) {
-    // signature: (label, start, report, sorted successors with self-loops
-    // mapped to a sentinel — the same soundness argument as prefix merging,
-    // run over the reversed automaton)
-    let mut groups: SignatureGroups = HashMap::new();
-    for (id, st) in nfa.iter() {
-        let mut succ: Vec<u32> =
-            nfa.successors(id).iter().map(|t| if *t == id { u32::MAX } else { t.0 }).collect();
-        succ.sort_unstable();
-        succ.dedup();
-        let key = (
-            st.label.to_bits(),
-            match st.start {
-                crate::homogeneous::StartKind::None => 0u8,
-                crate::homogeneous::StartKind::StartOfData => 1,
-                crate::homogeneous::StartKind::AllInput => 2,
-            },
-            st.report.map(|r| r.0),
-            succ,
-        );
-        groups.entry(key).or_default().push(id);
-    }
-    let mut merged_any = false;
-    let mut repr: Vec<StateId> = (0..nfa.len() as u32).map(StateId).collect();
-    for members in groups.values() {
-        if members.len() > 1 {
-            merged_any = true;
-            let keep = members[0];
-            for &m in &members[1..] {
-                repr[m.index()] = keep;
+/// Which neighbours a merge signature is taken over.
+#[derive(Debug, Clone, Copy)]
+enum Direction {
+    /// Predecessors: activation-equivalent states (common prefixes).
+    Prefix,
+    /// Successors: observation-equivalent states (common suffixes).
+    Suffix,
+}
+
+/// End of a class's member list.
+const NONE: u32 = u32::MAX;
+
+/// The merge engine behind both directions; see the module docs.
+fn merge_to_fixpoint(nfa: &HomNfa, direction: Direction) -> (HomNfa, OptimizeStats) {
+    let n = nfa.len();
+    let succ: Vec<&[StateId]> = nfa.iter().map(|(id, _)| nfa.successors(id)).collect();
+    let pred_lists = nfa.predecessors();
+    let pred: Vec<&[StateId]> = pred_lists.iter().map(Vec::as_slice).collect();
+    let (signed, dependents) = match direction {
+        Direction::Prefix => (&pred, &succ),
+        Direction::Suffix => (&succ, &pred),
+    };
+    // every state's representative, and each class as a member list in the
+    // order the merges pooled it: head = representative, `tail` its end
+    let mut class: Vec<u32> = (0..n as u32).collect();
+    let mut next = vec![NONE; n];
+    let mut tail = class.clone();
+    let mut table: HashMap<(&State, Vec<u32>), u32> = HashMap::with_capacity(n);
+    let mut signed_in = vec![0u32; n];
+    let mut queue: Vec<StateId> = nfa.iter().map(|(id, _)| id).collect();
+    let mut merges: Vec<(u32, u32)> = Vec::new();
+    let mut group = Vec::new();
+    for generation in 1.. {
+        for s in queue.drain(..) {
+            let c = class[s.index()];
+            if signed_in[c as usize] == generation {
+                continue;
+            }
+            signed_in[c as usize] = generation;
+            let name = |p: &StateId| match class[p.index()] {
+                k if k == c => u32::MAX, // its own class: the sentinel
+                k => k,
+            };
+            let mut key = Vec::new();
+            let mut m = c;
+            while m != NONE {
+                key.extend(signed[m as usize].iter().map(name));
+                m = next[m as usize];
+            }
+            key.sort_unstable();
+            key.dedup();
+            // a new signature is this class's; a known one names its group
+            let holder = class[*table.entry((nfa.state(StateId(c)), key)).or_insert(c) as usize];
+            if holder != c {
+                merges.push((holder, c));
             }
         }
+        if merges.is_empty() {
+            break;
+        }
+        // each group folds onto its smallest member, absorbed classes'
+        // lists appended in ascending order; their dependents are re-signed
+        merges.sort_unstable();
+        for pairs in merges.chunk_by(|a, b| a.0 == b.0) {
+            group.clear();
+            group.push(pairs[0].0);
+            group.extend(pairs.iter().map(|&(_, c)| c));
+            group.sort_unstable();
+            let keep = group[0];
+            for &absorbed in &group[1..] {
+                let mut m = absorbed;
+                while m != NONE {
+                    class[m as usize] = keep;
+                    queue.extend_from_slice(dependents[m as usize]);
+                    m = next[m as usize];
+                }
+                next[tail[keep as usize] as usize] = absorbed;
+                tail[keep as usize] = tail[absorbed as usize];
+            }
+        }
+        merges.clear();
     }
-    if !merged_any {
-        return (nfa.clone(), false);
-    }
-    let mut new_id: Vec<Option<StateId>> = vec![None; nfa.len()];
+
+    // survivors in id order; each one's out-edges are its members', in
+    // member order, mapped through the representatives
+    let mut new_id = vec![NONE; n];
     let mut out = HomNfa::new();
     for (id, st) in nfa.iter() {
-        if repr[id.index()] == id {
-            new_id[id.index()] = Some(out.add_state_full(st.label, st.start, st.report));
+        if class[id.index()] == id.0 {
+            new_id[id.index()] = out.add_state_full(st.label, st.start, st.report).0;
         }
     }
-    for (id, _) in nfa.iter() {
-        let from = new_id[repr[id.index()].index()].expect("representative exists");
-        for &t in nfa.successors(id) {
-            let to = new_id[repr[t.index()].index()].expect("representative exists");
-            out.add_edge(from, to);
+    for keep in (0..n as u32).filter(|&s| class[s as usize] == s) {
+        let from = StateId(new_id[keep as usize]);
+        let mut m = keep;
+        while m != NONE {
+            for t in succ[m as usize] {
+                out.add_edge(from, StateId(new_id[class[t.index()] as usize]));
+            }
+            m = next[m as usize];
         }
     }
-    (out, true)
+    let stats = OptimizeStats { states_before: n, states_after: out.len() };
+    (out, stats)
 }
 
 /// Both merges iterated jointly to a fixpoint (prefix merging can expose
@@ -222,17 +219,17 @@ fn suffix_round(nfa: &HomNfa) -> (HomNfa, bool) {
 pub fn merge_bidirectional(nfa: &HomNfa) -> (HomNfa, OptimizeStats) {
     let before = nfa.len();
     let mut current = nfa.clone();
-    let mut rounds = 0;
+    let mut alternations = 0;
     loop {
-        rounds += 1;
+        alternations += 1;
         let len_before = current.len();
         current = merge_common_prefixes(&current).0;
         current = merge_common_suffixes(&current).0;
-        if current.len() == len_before || rounds > 16 {
+        if current.len() == len_before || alternations > 16 {
             break;
         }
     }
-    let stats = OptimizeStats { states_before: before, states_after: current.len(), rounds };
+    let stats = OptimizeStats { states_before: before, states_after: current.len() };
     (current, stats)
 }
 
@@ -272,18 +269,16 @@ pub fn remove_dead_states(nfa: &HomNfa) -> (HomNfa, OptimizeStats) {
     let keep: Vec<bool> = (0..n).map(|i| fwd[i] && bwd[i]).collect();
     let mut out = nfa.clone();
     out.retain_states(&keep);
-    let stats = OptimizeStats { states_before: n, states_after: out.len(), rounds: 1 };
+    let stats = OptimizeStats { states_before: n, states_after: out.len() };
     (out, stats)
 }
 
 /// The full space-optimization pipeline used for CA_S automata:
 /// dead-state removal followed by prefix merging to fixpoint.
 pub fn space_optimize(nfa: &HomNfa) -> (HomNfa, OptimizeStats) {
-    let before = nfa.len();
     let (pruned, _) = remove_dead_states(nfa);
-    let (merged, m) = merge_common_prefixes(&pruned);
-    let stats =
-        OptimizeStats { states_before: before, states_after: merged.len(), rounds: m.rounds };
+    let (merged, _) = merge_common_prefixes(&pruned);
+    let stats = OptimizeStats { states_before: nfa.len(), states_after: merged.len() };
     (merged, stats)
 }
 
@@ -345,6 +340,52 @@ mod tests {
         // merged "share" prefix joins all three patterns into one CC
         assert_eq!(connected_components(&merged).len(), 1);
         assert_same_language(&nfa, &merged, &[b"share1 share3", b"share", b"share2"]);
+    }
+
+    #[test]
+    fn deep_shared_prefix_merges_to_the_fixpoint() {
+        // one merge per prefix byte: a 100-byte prefix needs 100 merging
+        // generations, past any round cap
+        let prefix: String = (0..100u8).map(|i| char::from(b'a' + i % 26)).collect();
+        let nfa = compile_patterns(&[format!("{prefix}X"), format!("{prefix}Y")]).unwrap();
+        assert_eq!(nfa.len(), 202);
+        let (merged, stats) = merge_common_prefixes(&nfa);
+        assert_eq!(merged.len(), 102, "the shared prefix collapses completely");
+        assert_eq!(stats.states_after, 102);
+        let hit_x = format!("{prefix}X");
+        let hit_y = format!("--{prefix}Y{prefix}X");
+        let near = format!("{}Y", &prefix[1..]);
+        let inputs = [hit_x.as_bytes(), hit_y.as_bytes(), near.as_bytes(), prefix.as_bytes()];
+        assert_same_language(&nfa, &merged, &inputs);
+    }
+
+    #[test]
+    fn out_edges_keep_the_order_rounds_pool_them() {
+        // 1 and 4 merge in the first generation (same predecessor 0); 3
+        // joins them in the second, once its predecessor 2 has merged into
+        // 0. The merged state's out-edges are 1's, 4's, then 3's — the
+        // order the rounds pooled the members in, not their id order.
+        use crate::charclass::CharClass;
+        use crate::homogeneous::{ReportCode, StartKind};
+        let mut nfa = HomNfa::new();
+        let x = CharClass::byte(b'x');
+        let y = CharClass::byte(b'y');
+        for (label, start) in [(x, true), (y, false), (x, true), (y, false), (y, false)] {
+            let start = if start { StartKind::AllInput } else { StartKind::None };
+            nfa.add_state_full(label, start, None);
+        }
+        for (code, byte) in b"pqr".iter().enumerate() {
+            let report = Some(ReportCode(code as u32));
+            nfa.add_state_full(CharClass::byte(*byte), StartKind::None, report);
+        }
+        for (a, b) in [(0, 1), (0, 4), (2, 3), (1, 5), (4, 6), (3, 7)] {
+            nfa.add_edge(StateId(a), StateId(b));
+        }
+        let (merged, _) = merge_common_prefixes(&nfa);
+        assert_eq!(merged.len(), 5);
+        assert_eq!(merged.successors(StateId(0)), &[StateId(1)]);
+        assert_eq!(merged.successors(StateId(1)), &[StateId(2), StateId(3), StateId(4)]);
+        assert_same_language(&nfa, &merged, &[b"xyp xyq xyr", b"yyy"]);
     }
 
     #[test]
@@ -432,10 +473,9 @@ mod tests {
         };
         let (p, _) = merge_common_prefixes(&one_code);
         let (s, _) = merge_common_suffixes(&one_code);
-        let (b, stats) = merge_bidirectional(&one_code);
+        let (b, _) = merge_bidirectional(&one_code);
         assert!(b.len() < p.len(), "bidirectional {} !< prefix {}", b.len(), p.len());
         assert!(b.len() < s.len(), "bidirectional {} !< suffix {}", b.len(), s.len());
-        assert!(stats.rounds >= 1);
         assert_same_language(&one_code, &b, &[b"preapost", b"prefpost", b"prepost"]);
     }
 

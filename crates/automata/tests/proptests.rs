@@ -9,10 +9,13 @@ use ca_automata::analysis::connected_components;
 use ca_automata::anml::{parse_anml, to_anml};
 use ca_automata::charclass::CharClass;
 use ca_automata::engine::{BitsetEngine, DfaEngine, Engine, MatchEvent, SparseEngine};
-use ca_automata::homogeneous::{HomNfa, ReportCode, StartKind};
-use ca_automata::optimize::{merge_common_prefixes, space_optimize};
+use ca_automata::homogeneous::{HomNfa, ReportCode, StartKind, State, StateId};
+use ca_automata::optimize::{
+    merge_bidirectional, merge_common_prefixes, merge_common_suffixes, space_optimize,
+};
 use ca_automata::regex::{compile_pattern, compile_pattern_thompson, parse};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 // ---------------------------------------------------------------- strategies
 
@@ -266,6 +269,155 @@ proptest! {
         let before = connected_components(&nfa).len();
         let after = connected_components(&merged).len();
         prop_assert!(after <= before);
+    }
+}
+
+// --------------------------------------------- merging: the round reference
+
+/// One round of the round-based merging the optimizer's worklist engine
+/// replaced: group every state by (label, start kind, report code, sorted
+/// predecessor ids — successor ids when `suffix` — with its own id written
+/// as `u32::MAX`), then rebuild with each group folded onto its smallest
+/// member, survivors in id order and every edge added in (state, successor
+/// list) order. `None` when nothing merges.
+fn reference_round(nfa: &HomNfa, suffix: bool) -> Option<HomNfa> {
+    let pred = nfa.predecessors();
+    let mut groups: HashMap<(&State, Vec<u32>), StateId> = HashMap::new();
+    let mut repr = Vec::with_capacity(nfa.len());
+    for (id, st) in nfa.iter() {
+        let side = if suffix { nfa.successors(id) } else { &pred[id.index()] };
+        let mut key: Vec<u32> =
+            side.iter().map(|s| if *s == id { u32::MAX } else { s.0 }).collect();
+        key.sort_unstable();
+        key.dedup();
+        repr.push(*groups.entry((st, key)).or_insert(id));
+    }
+    if repr.iter().enumerate().all(|(i, r)| r.index() == i) {
+        return None;
+    }
+    let mut new_id = vec![None; nfa.len()];
+    let mut out = HomNfa::new();
+    for (id, st) in nfa.iter() {
+        if repr[id.index()] == id {
+            new_id[id.index()] = Some(out.add_state_full(st.label, st.start, st.report));
+        }
+    }
+    let map = |s: StateId| new_id[repr[s.index()].index()].expect("representative kept");
+    for (id, _) in nfa.iter() {
+        for &t in nfa.successors(id) {
+            out.add_edge(map(id), map(t));
+        }
+    }
+    Some(out)
+}
+
+/// Rounds until one merges nothing — no round cap.
+fn reference_merge(nfa: &HomNfa, suffix: bool) -> HomNfa {
+    let mut current = nfa.clone();
+    while let Some(next) = reference_round(&current, suffix) {
+        current = next;
+    }
+    current
+}
+
+/// `merge_bidirectional`'s alternation over the reference rounds.
+fn reference_bidirectional(nfa: &HomNfa) -> HomNfa {
+    let mut current = nfa.clone();
+    for _ in 0..17 {
+        let len_before = current.len();
+        current = reference_merge(&reference_merge(&current, false), true);
+        if current.len() == len_before {
+            break;
+        }
+    }
+    current
+}
+
+/// Random automata that merge over several rounds: a small forest over
+/// labels `abc` (roots are `AllInput` or `StartOfData` starts, every other
+/// state hangs off one of the first three; self-loops, back edges, report
+/// codes 0 and 1), copied 2–3 times with a few relabelled states, toggled
+/// reports and toggled self-loops in the later copies, and the copies'
+/// states interleaved in random id order. Shared structure then merges one
+/// level per round, and a class pools members whose ids interleave.
+fn cyclic_nfa_strategy() -> impl Strategy<Value = HomNfa> {
+    let state = (
+        prop::sample::select(b"abc".to_vec()),
+        0..8u8,                       // 0 AllInput root, 1 StartOfData root, else a child
+        any::<prop::sample::Index>(), // parent
+        0..4u8,                       // report code 0 or 1, else none
+        0..8u8,                       // 0 self-loop, 1 back edge, else neither
+        any::<prop::sample::Index>(), // back-edge target
+    );
+    let edit = (any::<prop::sample::Index>(), 0..3u8, prop::sample::select(b"abc".to_vec()));
+    let base = prop::collection::vec(state, 1..9);
+    let edits = prop::collection::vec(edit, 1..6);
+    let order = prop::collection::vec(any::<u32>(), 24..25);
+    (base, 2..4usize, edits, order).prop_map(|(base, copies, edits, order)| {
+        let len = base.len();
+        let mut specs: Vec<_> = (0..copies).flat_map(|_| base.iter().copied()).collect();
+        let edited = specs.len() - len;
+        for (at, kind, byte) in edits {
+            let spec = &mut specs[len + at.index(edited)];
+            match kind {
+                0 => spec.0 = byte,
+                1 => spec.3 = if spec.3 == 0 { 2 } else { 0 },
+                _ => spec.4 = if spec.4 == 0 { 2 } else { 0 },
+            }
+        }
+        let mut by_id: Vec<usize> = (0..specs.len()).collect();
+        by_id.sort_by_key(|&f| (order[f], f));
+        let mut id_of = vec![StateId(0); specs.len()];
+        let mut nfa = HomNfa::new();
+        for f in by_id {
+            let (byte, kind, _, report, _, _) = specs[f];
+            let start = match kind {
+                0 => StartKind::AllInput,
+                1 => StartKind::StartOfData,
+                _ if f % len == 0 => StartKind::AllInput,
+                _ => StartKind::None,
+            };
+            let report = (report < 2).then(|| ReportCode(report.into()));
+            id_of[f] = nfa.add_state_full(CharClass::byte(byte), start, report);
+        }
+        for (f, &(_, kind, parent, _, extra, back)) in specs.iter().enumerate() {
+            let (copy, i) = (f - f % len, f % len);
+            if kind > 1 && i > 0 {
+                nfa.add_edge(id_of[copy + parent.index(i.min(3))], id_of[f]);
+            }
+            match extra {
+                0 => nfa.add_edge(id_of[f], id_of[f]),
+                1 => nfa.add_edge(id_of[f], id_of[copy + back.index(i + 1)]),
+                _ => {}
+            }
+        }
+        nfa
+    })
+}
+
+/// The worklist engine's output is the round-based output exactly, for
+/// prefix, suffix and bidirectional merging: same states in the same
+/// order, same successor lists in the same order.
+fn equals_the_round_reference(nfa: &HomNfa) -> Result<(), TestCaseError> {
+    prop_assert_eq!(merge_common_prefixes(nfa).0, reference_merge(nfa, false));
+    prop_assert_eq!(merge_common_suffixes(nfa).0, reference_merge(nfa, true));
+    prop_assert_eq!(merge_bidirectional(nfa).0, reference_bidirectional(nfa));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// On automata with few merges…
+    #[test]
+    fn merging_equals_the_round_reference(nfa in nfa_strategy()) {
+        equals_the_round_reference(&nfa)?;
+    }
+
+    /// …and on cyclic automata that merge over several rounds.
+    #[test]
+    fn cyclic_merging_equals_the_round_reference(nfa in cyclic_nfa_strategy()) {
+        equals_the_round_reference(&nfa)?;
     }
 }
 

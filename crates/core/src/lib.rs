@@ -531,7 +531,11 @@ impl CacheAutomaton {
         }
         let owned;
         let source: &HomNfa = if optimize {
+            // not a `compile.pass.*` span: those reconcile with `PassTimings`
+            let span = ca_telemetry::SpanGuard::start(&self.telemetry, "compile.optimize", 0);
             owned = ca_automata::optimize::space_optimize(nfa).0;
+            span.finish();
+            self.telemetry.gauge("compile.optimized_states", 0, owned.len() as f64);
             &owned
         } else {
             nfa
@@ -864,6 +868,34 @@ mod tests {
         let mp = p.run(input).matches;
         let ms = s.run(input).matches;
         assert_eq!(mp, ms);
+    }
+
+    #[test]
+    fn space_compiles_report_the_optimizer() {
+        let patterns: Vec<String> = (0..8).map(|i| format!("sharedprefix{i}")).collect();
+        let nfa = ca_automata::regex::compile_patterns(&patterns).unwrap();
+        for design in [Design::Space, Design::Performance] {
+            let recorder = Arc::new(MemoryRecorder::new());
+            let ca = CacheAutomaton::builder()
+                .design(design)
+                .no_disk_cache()
+                .no_remote_cache()
+                .telemetry_handle(Telemetry::from_arc(recorder.clone()))
+                .build();
+            let program = ca.compile_nfa(&nfa).unwrap();
+            let _hit = ca.compile_nfa(&nfa).unwrap();
+            let spans = recorder.spans("compile.optimize");
+            let states = recorder.gauges("compile.optimized_states");
+            assert_eq!(recorder.spans("compile.pass.plan").len(), 1, "{design:?}");
+            if design == Design::Space {
+                assert_eq!(spans.len(), 1, "one optimizer run, none on the hit");
+                assert_eq!(states.len(), 1);
+                assert_eq!(states[0].value, program.stats().states as f64);
+                assert!(program.stats().states < nfa.len());
+            } else {
+                assert!(spans.is_empty() && states.is_empty(), "CA_P never optimizes");
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!
 //! Names are dot-separated `&'static str` identifiers, prefixed by layer:
 //! `fabric.*` (simulator run loop), `scan.*` (sharded scan driver),
-//! `compile.*` (mapping-compiler pass pipeline), `cache.*` (program
+//! `compile.*` (space optimizer and mapping-compiler pass pipeline), `cache.*` (program
 //! cache), `suite.*` (benchmark harness). Counter totals within one layer
 //! reconcile exactly with that layer's stats struct; see DESIGN.md §7 for
 //! the full taxonomy and the reconciliation guarantees.

@@ -438,6 +438,96 @@ mod tests {
         }
     }
 
+    /// The CA_S input of every benchmark at `Scale(0.1)`, seed 2017, pinned
+    /// by its state count, its canonical fingerprint and a digest of every
+    /// successor list *in stored order* — which the fingerprint sorts away
+    /// but the compiler's packing and partitioning see.
+    #[test]
+    fn space_optimized_automata_are_pinned() {
+        use ca_automata::fingerprint::StableHasher;
+        use Benchmark::*;
+        const PINS: [(Benchmark, usize, &str, &str); 20] = [
+            (
+                Dotstar03,
+                1210,
+                "7e78562faea0b67236c42f931dbee744",
+                "f227d7ce4015f6b31512164ab9586a51",
+            ),
+            (
+                Dotstar06,
+                1239,
+                "a73e31af11e7b28ec1c8fa0af8d672db",
+                "486144796129e3db76e0551b62d3e7ec",
+            ),
+            (
+                Dotstar09,
+                1182,
+                "ea4af7703dd91c69a4a3e1e9843beab5",
+                "3c7bb1c0b3ed3605371d19d286d16779",
+            ),
+            (
+                Ranges05,
+                1275,
+                "b1ccf91001a69c692327997ede699220",
+                "ff7917af6e598c20f91016d72b4971cd",
+            ),
+            (Ranges1, 1047, "f944f229cee960a120fffa2f52dbc665", "32228b359d12f4f9aeee5c394dc505ae"),
+            (
+                ExactMatch,
+                1040,
+                "592fc0bedb813798ab9cb16302326e34",
+                "5cdf89745db27b0c70fcd41f12071f1a",
+            ),
+            (Bro217, 205, "a22a7aef8b44d4015b0a44368178322c", "0230cc95bf4ffea6ec072297c21b94bd"),
+            (Tcp, 2147, "2df92a4afa2b2c57806de25e2b52a1cf", "784f7332bad0e8e9aae33684f9cc6860"),
+            (Snort, 4082, "a0f68472e4f97ec7d88ed136b2571c51", "292d884bc1273679957582f91f5acc60"),
+            (Brill, 3869, "e5bc0bf78bfc474debc5da495ca3997b", "99afc3d4b2083f5b5d3d9ae45bd630f2"),
+            (ClamAv, 4573, "7546a906cf4bca10d448edf57dbeeaf0", "c75cf312f2b0278362f7e9ec2331107f"),
+            (Dotstar, 5829, "aa44c6f4903e29203854eeb9df9072f3", "c3064f70fc4d85c115bbe0baab6188e9"),
+            (
+                EntityResolution,
+                7557,
+                "fda852ea2694d160680893dc026ef874",
+                "0f9b83c1c9587f873c5579122b1e0c41",
+            ),
+            (
+                Levenshtein,
+                243,
+                "b0972efed881e3d0d0b711fdfb6697bf",
+                "717025cb0745990faca034936589af9e",
+            ),
+            (Hamming, 1022, "03b6d804866760592f057552692c1278", "83401f0899888d3e81d3ecfcd2d31224"),
+            (Fermi, 3764, "a2876b1916c1101a7be920f59c6f32a7", "a4f77f0206ed3083e8ddd2fcf974e8dd"),
+            (Spm, 4425, "33f22ce5d363d81c1a7795d83e68f2c5", "ddab722b05446cc5087291aed17123fd"),
+            (
+                RandomForest,
+                3177,
+                "c57982db66afb38691b69c74ccdeda61",
+                "c54926d57d25f7646bba22e4bfe76553",
+            ),
+            (PowerEn, 1095, "14abc4618ad9c0c3975c3bb3904e2602", "a95cd09dacf9b9f95c4bf81ebc7cfad4"),
+            (
+                Protomata,
+                3776,
+                "c0906bffbea3f6edf0108b57c5de7d58",
+                "1fd47c9ae7c2ea172feac30f21e4f903",
+            ),
+        ];
+        for (b, states, fingerprint, order) in PINS {
+            let opt = b.build(Scale(0.1), 2017).space_optimized();
+            let mut h = StableHasher::new();
+            for (id, _) in opt.iter() {
+                h.write_u64(opt.successors(id).len() as u64);
+                for s in opt.successors(id) {
+                    h.write_u32(s.0);
+                }
+            }
+            assert_eq!(opt.len(), states, "{b}: states");
+            assert_eq!(opt.fingerprint().to_string(), fingerprint, "{b}: fingerprint");
+            assert_eq!(h.finish().to_string(), order, "{b}: successor order");
+        }
+    }
+
     #[test]
     fn inputs_trigger_matches() {
         use ca_automata::engine::{Engine, SparseEngine};
